@@ -1,6 +1,7 @@
 # CI entry points. `make ci` is the gate: vet + build + tests + a short
 # race pass over the concurrency-sensitive paths (Scorer, Runner,
-# registry).
+# registry) + a short decoder fuzz + the perfbench module self-test +
+# the three dmtserve smoke tests.
 #
 # `make bench` runs the Benchmark*Op hot-path micro-benchmarks with
 # -benchmem and writes BENCH_PR10.json (ns/op, B/op, allocs/op and
@@ -23,6 +24,12 @@
 # replica tolerates zero errors. The follower is delta-seeded, so the
 # run also exercises ?since= delta chains (and their full-envelope
 # fallback) under fault injection.
+# `make fuzz` runs the checkpoint bootstrap decoder's native fuzz target
+# (FuzzFromCheckpoint: plain, sharded, racer and delta framings) for
+# FUZZTIME; every input must yield an error or a scorer, never a panic.
+# `make perfbench` vets and self-tests the nested benchmark module
+# (perfbench/, its own go.mod), which the root `./...` patterns skip, so
+# a facade change that breaks the benchmark fails the gate.
 # `make race-smoke` runs the model-racing self-test: a three-arm race
 # trainer (race:glm,vfdt,nb) learns a recurring-drift stream under a
 # prediction hammer; the leader must change at least once, /statusz must
@@ -33,12 +40,13 @@ BENCH_TXT ?= /tmp/repro_bench_current.txt
 BENCHTIME ?= 1s
 CHAOS_SPEC ?= drop@0.15,reset@0.05,status=503@0.05,status=429@0.02,truncate=512@0.1
 CHAOS_SEED ?= 7
+FUZZTIME ?= 10s
 
-.PHONY: all ci vet build test race bench bench-all serve-smoke chaos-smoke race-smoke fmt
+.PHONY: all ci vet build test race fuzz perfbench bench bench-all serve-smoke chaos-smoke race-smoke fmt
 
 all: ci
 
-ci: vet build test race serve-smoke chaos-smoke race-smoke
+ci: vet build test race fuzz perfbench serve-smoke chaos-smoke race-smoke
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +59,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFromCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/serve
+
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'Op$$' -benchmem -benchtime $(BENCHTIME) ./... > $(BENCH_TXT)

@@ -211,18 +211,16 @@ func TestScorerCheckpointRestore(t *testing.T) {
 	batches := collectBatches(t, gen, 30, 64)
 	cases := []struct {
 		name string
-		opts []ServeOption
+		mk   func() Scorer
 	}{
-		{"snapshot", nil},
-		{"locked", []ServeOption{WithLockedServing()}},
-		{"sharded", []ServeOption{WithShards(3)}},
+		{"snapshot", func() Scorer { return MustServe("DMT", schema, WithServeModelOptions(WithSeed(5))) }},
+		{"locked", func() Scorer { return NewScorer(MustNew("DMT", schema, WithSeed(5))) }},
+		{"sharded", func() Scorer { return MustServe("DMT", schema, WithServeModelOptions(WithSeed(5)), WithShards(3)) }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func() Scorer {
-				return MustServe("DMT", schema, append([]ServeOption{WithServeModelOptions(WithSeed(5))}, tc.opts...)...)
-			}
+			mk := tc.mk
 			orig := mk()
 			for i := 0; i < 15; i++ {
 				orig.Learn(batches[i])

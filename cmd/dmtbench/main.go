@@ -43,7 +43,7 @@ func main() {
 		catFlag   = flag.Bool("categorical", false, "also run the categorical payoff scenario (native vs factorised splits)")
 		raceFlag  = flag.Bool("race", false, "also run the model-racing scenario (fixed arms vs the racer across drift kinds, with leader timelines)")
 		parallel  = flag.Int("parallel", 1, fmt.Sprintf("concurrent experiment cells (this machine: up to %d); timing in Table V is only meaningful at 1", runtime.GOMAXPROCS(0)))
-		scorer    = flag.String("scorer", "", "evaluate through the serving layer: locked, snapshot or sharded (empty = bare classifiers; snapshot is result-identical to bare, sharded is a different algorithm)")
+		scorer    = flag.String("scorer", "", "evaluate through the serving layer: snapshot or sharded (empty = bare classifiers; snapshot is result-identical to bare, sharded is a different algorithm)")
 		shards    = flag.Int("shards", 2, "replica count for -scorer sharded")
 		ckptDir   = flag.String("checkpoint", "", "directory persisting every finished cell's result (atomic per-cell files); with -resume an interrupted grid restarts without redoing completed cells")
 		resume    = flag.Bool("resume", false, "skip cells already completed in the -checkpoint directory (results are byte-identical to an uninterrupted run)")

@@ -144,18 +144,21 @@ func networkDemo() {
 	// envelope bytes over HTTP.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	replica, v0, err := repro.BootstrapScorer(ctx, trainerURL, 1)
+	replica, v0, raw, err := repro.BootstrapScorerRaw(ctx, nil, trainerURL, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replica bootstrapped %s at structure version %d over HTTP\n", replica.Name(), v0)
 
 	installs := make(chan uint64, 16)
-	go repro.Follow(ctx, trainerURL, replica, repro.FollowConfig{
+	follower := repro.NewFollower(trainerURL, replica, repro.FollowConfig{
 		Interval:  10 * time.Millisecond,
 		Wait:      2 * time.Second,
 		OnInstall: func(v uint64) { installs <- v },
 	})
+	// Seeding the bootstrap envelope lets the first poll ask for a delta.
+	follower.SeedInstalled(v0, raw)
+	go follower.Run(ctx)
 
 	// Replica reads keep flowing while the trainer advances and new
 	// envelopes install underneath them.
@@ -245,7 +248,7 @@ func faultToleranceDemo() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	replica, _, err := repro.BootstrapScorer(ctx, trainerURL, 1)
+	replica, v0, raw, err := repro.BootstrapScorerRaw(ctx, nil, trainerURL, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -270,6 +273,7 @@ func faultToleranceDemo() {
 			evMu.Unlock()
 		},
 	})
+	follower.SeedInstalled(v0, raw)
 	replicaPS.SetStalenessSource(follower)
 	go follower.Run(ctx)
 

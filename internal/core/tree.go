@@ -388,8 +388,8 @@ func (t *Tree) Revisions() (splits, replaces, prunes int) {
 }
 
 // StructureVersion implements model.StructureVersioner: the lifetime
-// count of structural changes, driving the serving layer's
-// publish-on-change mode.
+// count of structural changes, which the serving tier's envelope
+// versions follow.
 func (t *Tree) StructureVersion() uint64 {
 	return uint64(t.splits) + uint64(t.replaces) + uint64(t.prunes)
 }

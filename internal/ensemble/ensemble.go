@@ -174,7 +174,7 @@ type arfMember struct {
 	// member trees, keeping the ensemble's StructureVersion monotone: a
 	// fresh tree restarts its own split count at zero, so without the
 	// carry-over a swap could leave the summed version unchanged (or
-	// lower) and publish-on-change serving would miss the event.
+	// lower) and replicas following the version would miss the event.
 	retiredVersion uint64
 	// Error tally since the last swap; drives the vote weight so a
 	// freshly swapped (largely untrained) member carries almost no vote

@@ -8,7 +8,7 @@ import (
 )
 
 // TestStructureVersionMonotone pins the StructureVersioner contract the
-// publish-on-change serving mode relies on: the version never decreases,
+// version-keyed envelope serving relies on: the version never decreases,
 // and every member swap/reset strictly increases it — even though a
 // fresh member tree restarts its own split count at zero (replaced
 // trees' versions are carried over, so the sum cannot stall or dip).

@@ -46,10 +46,6 @@ func AllModels() []string {
 	return append(StandaloneModels(), EnsembleModels()...)
 }
 
-// TreeModels are the models whose complexity Tables III/IV report (all
-// stand-alone models).
-func TreeModels() []string { return StandaloneModels() }
-
 // NewClassifier builds a fresh classifier by its paper name via the model
 // registry; the zero parameter bag plus the seed reproduces the paper's
 // Section VI-C configuration exactly.

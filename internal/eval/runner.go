@@ -62,11 +62,10 @@ type Runner struct {
 	// MinBatchSize floors the batch size (default 32 on scaled streams).
 	MinBatchSize int
 	// ScorerMode, when non-empty, evaluates every cell through the
-	// serving layer instead of the bare classifier: "locked" (RWMutex),
-	// "snapshot" (lock-free atomic snapshots; per-batch publish keeps the
-	// results byte-identical to the bare model) or "sharded" (rows hash
-	// across Shards independent replicas — a different algorithm, so
-	// results differ by design).
+	// serving layer instead of the bare classifier: "snapshot" (lock-free
+	// atomic snapshots; per-batch publish keeps the results byte-identical
+	// to the bare model) or "sharded" (rows hash across Shards independent
+	// replicas — a different algorithm, so results differ by design).
 	ScorerMode string
 	// Shards is the replica count of the "sharded" mode (default 2).
 	Shards int

@@ -125,10 +125,10 @@ func BenchmarkSuiteSequential(b *testing.B) { benchmarkRunner(b, 1) }
 func BenchmarkSuiteParallel(b *testing.B)   { benchmarkRunner(b, 0) } // GOMAXPROCS workers
 
 // Evaluating through the serving layer must not change the science:
-// "snapshot" (per-batch publish) and "locked" runs render byte-identical
-// metric tables to the bare-classifier run of the same cells, even
-// though the snapshot run scores every test batch through PredictBatch
-// against a published snapshot.
+// a "snapshot" (per-batch publish) run renders byte-identical metric
+// tables to the bare-classifier run of the same cells, even though it
+// scores every test batch through PredictBatch against a published
+// snapshot.
 func TestRunnerScorerModesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run")
@@ -140,17 +140,14 @@ func TestRunnerScorerModesByteIdentical(t *testing.T) {
 		}
 		return res
 	}
-	bare := run("")
-	for _, mode := range []string{"locked", "snapshot"} {
-		through := run(mode)
-		for name, render := range map[string]func(*SuiteResult) string{
-			"Table2": (*SuiteResult).Table2,
-			"Table3": (*SuiteResult).Table3,
-			"Table4": (*SuiteResult).Table4,
-		} {
-			if a, b := render(bare), render(through); a != b {
-				t.Fatalf("%s differs between bare and %s runs:\n%s\nvs\n%s", name, mode, a, b)
-			}
+	bare, through := run(""), run("snapshot")
+	for name, render := range map[string]func(*SuiteResult) string{
+		"Table2": (*SuiteResult).Table2,
+		"Table3": (*SuiteResult).Table3,
+		"Table4": (*SuiteResult).Table4,
+	} {
+		if a, b := render(bare), render(through); a != b {
+			t.Fatalf("%s differs between bare and snapshot runs:\n%s\nvs\n%s", name, a, b)
 		}
 	}
 	// Sharded is a different algorithm (replicas see 1/N of the rows);
@@ -158,8 +155,10 @@ func TestRunnerScorerModesByteIdentical(t *testing.T) {
 	if _, err := (Runner{Scale: 0.002, ScorerMode: "sharded", Shards: 2}).Run(context.Background(), runnerCells(t, 11)); err != nil {
 		t.Fatal(err)
 	}
-	// Unknown modes fail fast.
-	if _, err := (Runner{Scale: 0.002, ScorerMode: "bogus"}).Run(context.Background(), runnerCells(t, 11)); err == nil {
-		t.Fatal("bogus scorer mode accepted")
+	// Unknown modes, "locked" included, fail fast.
+	for _, bad := range []string{"bogus", "locked"} {
+		if _, err := (Runner{Scale: 0.002, ScorerMode: bad}).Run(context.Background(), runnerCells(t, 11)); err == nil {
+			t.Fatalf("scorer mode %q accepted", bad)
+		}
 	}
 }

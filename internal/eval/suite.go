@@ -34,7 +34,7 @@ type Suite struct {
 	// the parallelisation the paper defers to future work (Section V-D).
 	Parallel int
 	// ScorerMode, when non-empty, evaluates every cell through the
-	// serving layer ("locked", "snapshot" or "sharded"; see
+	// serving layer ("snapshot" or "sharded"; see
 	// Runner.ScorerMode).
 	ScorerMode string
 	// Shards is the replica count of the "sharded" scorer mode.
@@ -211,14 +211,14 @@ func (r *SuiteResult) Table2() string {
 // Table3 renders the number-of-splits table (Table III).
 func (r *SuiteResult) Table3() string {
 	return r.metricTable("Table III: No. of splits, mean ± std (p: = paper)",
-		r.modelsPresent(TreeModels()), Result.Splits,
+		r.modelsPresent(StandaloneModels()), Result.Splits,
 		func(e datasets.Entry) map[string]float64 { return e.PaperSplits }, 1)
 }
 
 // Table4 renders the number-of-parameters table (Table IV).
 func (r *SuiteResult) Table4() string {
 	return r.metricTable("Table IV: No. of parameters, mean ± std (p: = paper)",
-		r.modelsPresent(TreeModels()), Result.Params,
+		r.modelsPresent(StandaloneModels()), Result.Params,
 		func(e datasets.Entry) map[string]float64 { return e.PaperParams }, 0)
 }
 

@@ -25,12 +25,12 @@ type Checkpointer interface {
 // function only changes shape on discrete structural events (splits,
 // prunes, replacements, member swaps). StructureVersion returns a
 // counter that increments on every such event; it never decreases.
-// The serving layer's publish-on-change mode republishes its snapshot
-// only when this version moves, instead of after every Learn.
+// The network serving tier keys its envelope cache, replica follow
+// versions and delta chains on it.
 //
 // Structureless learners (GLM, Naive Bayes) deliberately do not
-// implement it: their parameters drift every batch, so cadence-based
-// publishing is the only faithful mode for them.
+// implement it: their parameters drift every batch, so no discrete
+// version describes their state.
 type StructureVersioner interface {
 	StructureVersion() uint64
 }

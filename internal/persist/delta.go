@@ -168,8 +168,11 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	if h.PatchLen < 0 || h.PatchLen > maxPayloadLen {
 		return nil, fmt.Errorf("persist: implausible delta patch length %d: corrupt delta", h.PatchLen)
 	}
-	patch := make([]byte, h.PatchLen)
-	if _, err := io.ReadFull(r, patch); err != nil {
+	if h.ResultLen < 0 || h.ResultLen > maxPayloadLen {
+		return nil, fmt.Errorf("persist: implausible delta result length %d: corrupt delta", h.ResultLen)
+	}
+	patch, err := readBody(r, h.PatchLen)
+	if err != nil {
 		return nil, fmt.Errorf("persist: read delta patch (%d bytes): %w (truncated delta)", h.PatchLen, err)
 	}
 	if crc := crc32.ChecksumIEEE(patch); crc != h.PatchCRC {
@@ -202,6 +205,9 @@ func SniffDelta(br *bufio.Reader) bool {
 // the base pin before patching and the result checksum after.
 func (d *Delta) Apply(base []byte) ([]byte, error) {
 	h := d.Header
+	if h.ResultLen < 0 || h.ResultLen > maxPayloadLen {
+		return nil, fmt.Errorf("persist: delta %d→%d: implausible result length %d", h.BaseVersion, h.TargetVersion, h.ResultLen)
+	}
 	if int64(len(base)) != h.BaseLen || crc32.ChecksumIEEE(base) != h.BaseCRC {
 		return nil, fmt.Errorf("persist: delta %d→%d does not apply: base is not the envelope it was computed against (want %d bytes crc %08x, have %d bytes crc %08x)",
 			h.BaseVersion, h.TargetVersion, h.BaseLen, h.BaseCRC, len(base), crc32.ChecksumIEEE(base))
@@ -340,9 +346,11 @@ func makePatch(base, target []byte) []byte {
 	return out.Bytes()
 }
 
-// applyPatch replays a COPY/ADD opcode stream against base.
+// applyPatch replays a COPY/ADD opcode stream against base. The output
+// grows with the bytes the opcodes produce (at most readChunk up front)
+// and stops as soon as it passes resultLen.
 func applyPatch(base, patch []byte, resultLen int64) ([]byte, error) {
-	out := make([]byte, 0, resultLen)
+	out := make([]byte, 0, min(resultLen, readChunk))
 	p := patch
 	for len(p) > 0 {
 		op := p[0]
@@ -377,6 +385,9 @@ func applyPatch(base, patch []byte, resultLen int64) ([]byte, error) {
 			p = p[length:]
 		default:
 			return nil, fmt.Errorf("patch has unknown opcode %d", op)
+		}
+		if int64(len(out)) > resultLen {
+			return nil, fmt.Errorf("patch produced more than the %d bytes the header says", resultLen)
 		}
 	}
 	if int64(len(out)) != resultLen {

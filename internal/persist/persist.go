@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/registry"
@@ -48,6 +49,33 @@ const (
 	maxHeaderLen  = 1 << 20
 	maxPayloadLen = 1 << 31
 )
+
+// readChunk is the most a decoder allocates before the bytes it reads
+// arrive: a length field is untrusted, so payload and patch buffers grow
+// with the stream instead of trusting the declared size. Real envelopes
+// below it (most are well under a megabyte) still take one allocation.
+const readChunk = 8 << 20
+
+// readBody reads exactly n bytes from r into a buffer that grows as the
+// bytes arrive, so a forged n costs at most readChunk up front. A stream
+// that ends early yields io.ErrUnexpectedEOF (io.EOF when it was empty).
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for int64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(n-int64(len(buf)), int64(len(buf)))))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(int64(cap(buf)), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
+}
 
 // Header is the self-describing metadata of one checkpoint envelope.
 type Header struct {
@@ -180,8 +208,8 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 	if h.PayloadLen < 0 || h.PayloadLen > maxPayloadLen {
 		return nil, fmt.Errorf("persist: implausible payload length %d: corrupt checkpoint", h.PayloadLen)
 	}
-	payload := make([]byte, h.PayloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readBody(r, h.PayloadLen)
+	if err != nil {
 		return nil, fmt.Errorf("persist: read payload (%d bytes): %w (truncated checkpoint)", h.PayloadLen, err)
 	}
 	if crc := crc32.ChecksumIEEE(payload); crc != h.PayloadCRC {

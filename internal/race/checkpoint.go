@@ -226,8 +226,13 @@ func read(src io.Reader) (*raceHeader, []*arm, error) {
 	if n == 0 || n > maxHeaderBytes {
 		return nil, nil, fmt.Errorf("race: implausible header length %d", n)
 	}
-	head := make([]byte, n)
-	if _, err := io.ReadFull(br, head); err != nil {
+	// Read the header as its bytes arrive, so a forged length costs no
+	// more than the stream backs.
+	head, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err == nil && len(head) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("race: read header: %w", err)
 	}
 	var hdr raceHeader
@@ -248,7 +253,21 @@ func read(src io.Reader) (*raceHeader, []*arm, error) {
 	}
 	arms := make([]*arm, len(hdr.Arms))
 	for i, ah := range hdr.Arms {
-		clf, err := persist.Load(br)
+		env, err := persist.ReadEnvelope(br)
+		if err != nil {
+			return nil, nil, fmt.Errorf("race: load arm %d (%s): %w", i, ah.Model, err)
+		}
+		// The header's schema is what the racer serves and the server
+		// validates requests against: every arm must have been built for
+		// exactly it, and hold the model the header names.
+		if es := env.Header.Schema; es.NumFeatures != hdr.Schema.NumFeatures || es.NumClasses != hdr.Schema.NumClasses || !es.SameKinds(hdr.Schema) {
+			return nil, nil, fmt.Errorf("race: arm %d (%s) schema (%d features, %d classes) disagrees with the header's (%d, %d)",
+				i, ah.Model, es.NumFeatures, es.NumClasses, hdr.Schema.NumFeatures, hdr.Schema.NumClasses)
+		}
+		if env.Header.Model != ah.Model {
+			return nil, nil, fmt.Errorf("race: arm %d envelope holds %q, header names %q", i, env.Header.Model, ah.Model)
+		}
+		clf, err := persist.LoadEnvelope(env)
 		if err != nil {
 			return nil, nil, fmt.Errorf("race: load arm %d (%s): %w", i, ah.Model, err)
 		}

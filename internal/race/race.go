@@ -422,8 +422,8 @@ func (r *Racer) Learn(b stream.Batch) {
 		bump++
 	}
 	// Fold the arms' own structural movement into the racer's monotone
-	// counter, so the serving tier's publish-on-change and envelope
-	// caching see arm splits/prunes/swaps as racer versions.
+	// counter, so the serving tier's envelope caching and replica
+	// follow see arm splits/prunes/swaps as racer versions.
 	for _, a := range r.arms {
 		if v, ok := structureVersion(a.clf); ok {
 			if a.hasVer && v > a.lastVer {
@@ -600,7 +600,7 @@ func (r *Racer) Schema() stream.Schema { return r.cfg.Schema }
 
 // StructureVersion reports the racer's own monotone counter: it moves
 // with arm structural changes, leader swaps, re-races and restores, so
-// envelope caching and publish-on-change work across warm restarts.
+// envelope caching and replica follow work across warm restarts.
 func (r *Racer) StructureVersion() (uint64, bool) { return r.version.Load(), true }
 
 // Unwrap returns the current leader's live classifier (the probabilistic

@@ -14,12 +14,8 @@ func metaScorers(t *testing.T) map[string]Scorer {
 	t.Helper()
 	schema := synth.NewSEA(100, 0.1, 1).Schema()
 	out := map[string]Scorer{}
-	for _, mode := range []Mode{ModeLocked, ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "VFDT (MC)", Schema: schema, Mode: mode, Shards: 2})
-		if err != nil {
-			t.Fatalf("New(%s): %v", mode, err)
-		}
-		out[string(mode)] = s
+	for _, ns := range eachScorer(t, "VFDT (MC)", schema, 0, 2) {
+		out[ns.kind] = ns.s
 	}
 	return out
 }
@@ -71,8 +67,8 @@ func (constClassifier) Complexity() model.Complexity { return model.Complexity{}
 func (constClassifier) Name() string                 { return "const" }
 
 // StructureVersion moves with training on every implementation, and the
-// snapshot scorer reports the *published* version: in on-change mode the
-// published version tracks the live one exactly at publish points.
+// snapshot scorer reports the *published* version, which tracks the live
+// one exactly at publish points.
 func TestScorerStructureVersion(t *testing.T) {
 	for mode, s := range metaScorers(t) {
 		v0, ok := s.StructureVersion()

@@ -5,138 +5,91 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/persist"
 	"repro/internal/registry"
+	"repro/internal/stream"
 )
 
-// TestPublishOnChangeCollapsesRate is the satellite's core claim: with
-// publish-on-change, the publish count tracks structural events instead
-// of batches, so it collapses by orders of magnitude on a stable
-// concept while the served structure stays current.
-func TestPublishOnChangeCollapsesRate(t *testing.T) {
-	batches, schema := seaBatches(t, 200, 50, 42)
-
-	build := func() model.Classifier {
-		c, err := registry.New("VFDT (MC)", schema, registry.WithSeed(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	every, err := NewSnapshot(build(), 1)
+// newVFDTSnapshot builds a per-batch SnapshotScorer over a seeded VFDT
+// (MC), whose structure version moves every few thousand SEA rows.
+func newVFDTSnapshot(t *testing.T, schema stream.Schema, seed int64) (*SnapshotScorer, model.StructureVersioner) {
+	t.Helper()
+	s, err := NewSnapshot(registryMust(t, "VFDT (MC)", schema, seed), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onChange, err := NewSnapshotOnChange(build())
-	if err != nil {
+	return s, s.Unwrap().(model.StructureVersioner)
+}
+
+// checkpointBytes captures s.Checkpoint.
+func checkpointBytes(t testing.TB, s Scorer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
-		every.Learn(b)
-		onChange.Learn(b)
-	}
+	return buf.Bytes()
+}
 
-	if every.Publishes() != uint64(len(batches))+1 {
-		t.Fatalf("cadence scorer published %d times, want %d", every.Publishes(), len(batches)+1)
+// Checkpoint always encodes the live model: a batch that moves no
+// structure still changes the bytes, because leaf statistics drift
+// between structural events and a checkpoint must carry them.
+func TestCheckpointReflectsLeafDrift(t *testing.T) {
+	batches, schema := seaBatches(t, 40, 50, 42)
+	s, sv := newVFDTSnapshot(t, schema, 9)
+	a := checkpointBytes(t, s)
+	if !bytes.Equal(a, checkpointBytes(t, s)) {
+		t.Fatal("back-to-back checkpoints of one state differ")
 	}
-	sv := onChange.Unwrap().(model.StructureVersioner)
-	if sv.StructureVersion() == 0 {
-		t.Fatal("precondition: the tree should have split at least once")
+	v := sv.StructureVersion()
+	s.Learn(batches[0])
+	if sv.StructureVersion() != v {
+		t.Fatal("precondition: one 50-row batch should not split the tree")
 	}
-	// One initial publish plus at most one per structural event (several
-	// events inside one batch coalesce into a single publish).
-	if got, max := onChange.Publishes(), sv.StructureVersion()+1; got > max {
-		t.Fatalf("on-change scorer published %d times for %d structural events", got, max-1)
+	b := checkpointBytes(t, s)
+	if bytes.Equal(a, b) {
+		t.Fatal("checkpoint after a non-structural Learn did not capture the leaf drift")
 	}
-	if onChange.Publishes() >= every.Publishes()/4 {
-		t.Fatalf("publish rate did not collapse: on-change %d vs every-batch %d", onChange.Publishes(), every.Publishes())
-	}
-
-	// Both scorers must serve the same structure; only leaf-level
-	// counters may be stale, and a forced Publish erases even that.
-	onChange.Publish()
-	for _, b := range batches[:20] {
-		for _, x := range b.X {
-			if every.Predict(x) != onChange.Predict(x) {
-				t.Fatal("on-change scorer diverged after forced Publish")
-			}
-		}
+	if _, h, err := persist.ReadRaw(bytes.NewReader(b)); err != nil || h.StructVersion != v {
+		t.Fatalf("checkpoint header at version %d (err %v), live is %d", h.StructVersion, err, v)
 	}
 }
 
-// TestPublishOnChangeStaleness pins the mode's contract: between
-// structural events readers keep the last published snapshot, and a
-// structural event republishes without a manual Publish.
-func TestPublishOnChangeStaleness(t *testing.T) {
+// Deltas between successive checkpoints taken at structural events
+// chain back to the last checkpoint byte-identically — what the
+// prediction server's ?since= history relies on.
+func TestSnapshotCheckpointsChainAsDeltas(t *testing.T) {
 	batches, schema := seaBatches(t, 400, 50, 7)
-	c, err := registry.New("VFDT (MC)", schema, registry.WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSnapshotOnChange(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := c.(model.StructureVersioner)
-	sawQuietBatch, sawEventBatch := false, false
-	for _, b := range batches {
-		beforeV, beforeP := sv.StructureVersion(), s.Publishes()
-		s.Learn(b)
-		afterV, afterP := sv.StructureVersion(), s.Publishes()
-		if beforeV == afterV && afterP != beforeP {
-			t.Fatal("published without a structural event")
+	s, sv := newVFDTSnapshot(t, schema, 3)
+	base := checkpointBytes(t, s)
+	prev := base
+	var deltas []*persist.Delta
+	for i := 0; i < len(batches) && len(deltas) < 3; i++ {
+		v := sv.StructureVersion()
+		s.Learn(batches[i])
+		if sv.StructureVersion() == v {
+			continue
 		}
-		if beforeV != afterV && afterP != beforeP+1 {
-			t.Fatalf("structural event published %d times", afterP-beforeP)
-		}
-		sawQuietBatch = sawQuietBatch || beforeV == afterV
-		sawEventBatch = sawEventBatch || beforeV != afterV
-	}
-	if !sawQuietBatch || !sawEventBatch {
-		t.Fatalf("test stream not discriminating (quiet=%v event=%v)", sawQuietBatch, sawEventBatch)
-	}
-}
-
-// TestPublishOnChangeRequiresStructureVersion: the structureless
-// baselines must be rejected — their parameters drift every batch, so
-// an on-change scorer would serve the initial model forever.
-func TestPublishOnChangeRequiresStructureVersion(t *testing.T) {
-	_, schema := seaBatches(t, 1, 8, 1)
-	for _, name := range []string{"GLM", "Naive Bayes"} {
-		c, err := registry.New(name, schema)
+		next := checkpointBytes(t, s)
+		d, err := persist.MakeDelta(prev, next)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewSnapshotOnChange(c); err == nil {
-			t.Fatalf("%s accepted by NewSnapshotOnChange", name)
-		}
+		deltas = append(deltas, d)
+		prev = next
 	}
-	// Every tree learner and both ensembles must be accepted.
-	for _, name := range []string{"DMT", "FIMT-DD", "VFDT (MC)", "VFDT (NBA)", "HT-Ada", "EFDT", "Forest Ens.", "Bagging Ens."} {
-		c, err := registry.New(name, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewSnapshotOnChange(c); err != nil {
-			t.Fatalf("%s rejected by NewSnapshotOnChange: %v", name, err)
-		}
+	if len(deltas) < 3 {
+		t.Fatalf("only %d structural events in %d batches", len(deltas), len(batches))
 	}
-}
-
-// TestRegistryDrivenPublishOnChange covers the serve.New path,
-// including per-shard on-change scorers.
-func TestRegistryDrivenPublishOnChange(t *testing.T) {
-	batches, schema := seaBatches(t, 50, 50, 3)
-	for _, mode := range []Mode{ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "DMT", Schema: schema, Mode: mode, PublishOnChange: true, Shards: 2})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		for _, b := range batches {
-			s.Learn(b)
-		}
+	head, err := persist.ApplyChain(base, deltas...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{Model: "GLM", Schema: schema, PublishOnChange: true}); err == nil {
-		t.Fatal("registry-driven on-change accepted GLM")
+	if !bytes.Equal(head, checkpointBytes(t, s)) {
+		t.Fatal("base+delta chain is not byte-identical to the full checkpoint")
+	}
+	if _, err := persist.Load(bytes.NewReader(head)); err != nil {
+		t.Fatalf("reconstructed head does not load: %v", err)
 	}
 }
 
@@ -199,22 +152,16 @@ func TestShardedRestoreIsAtomic(t *testing.T) {
 	}
 }
 
-// BenchmarkPublishEveryOp and BenchmarkPublishOnChangeOp measure the
-// publish-rate drop of the satellite: same model, same stream, the only
-// difference is the publish policy. The publishes/batch metric is the
-// headline number; ns/op shows the saved clone time.
-func benchmarkPublishPolicy(b *testing.B, onChange bool) {
+// BenchmarkPublishEveryOp measures one Learn plus the snapshot publish
+// that follows it; the publishes/batch metric pins the every-batch
+// policy.
+func BenchmarkPublishEveryOp(b *testing.B) {
 	batches, schema := seaBatches(b, 256, 50, 42)
 	c, err := registry.New("VFDT (MC)", schema, registry.WithSeed(9))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var s *SnapshotScorer
-	if onChange {
-		s, err = NewSnapshotOnChange(c)
-	} else {
-		s, err = NewSnapshot(c, 1)
-	}
+	s, err := NewSnapshot(c, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,6 +173,3 @@ func benchmarkPublishPolicy(b *testing.B, onChange bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(s.Publishes())/float64(b.N), "publishes/batch")
 }
-
-func BenchmarkPublishEveryOp(b *testing.B)    { benchmarkPublishPolicy(b, false) }
-func BenchmarkPublishOnChangeOp(b *testing.B) { benchmarkPublishPolicy(b, true) }

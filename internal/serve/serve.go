@@ -1,18 +1,16 @@
 // Package serve is the concurrent model-serving layer behind the public
-// repro.Serve / repro.NewScorer API: three interchangeable Scorer
-// implementations that let prediction traffic read a model while a
-// learning loop keeps training it on the live stream — the deployment
-// mode the paper targets (an interpretable model that never stops
-// learning while it serves).
+// repro.Serve / repro.NewScorer API: Scorer implementations that let
+// prediction traffic read a model while a learning loop keeps training
+// it on the live stream — the deployment mode the paper targets (an
+// interpretable model that never stops learning while it serves).
 //
-//   - LockScorer guards one classifier with a sync.RWMutex: simple,
-//     always applicable, but every read waits while Learn holds the
-//     write lock.
-//   - SnapshotScorer publishes an immutable serving snapshot through an
-//     atomic pointer after Learn (clone-on-publish, with a configurable
-//     cadence): Predict/Proba/Complexity are wait-free and never blocked
-//     by training, at the cost of a bounded staleness window (at most
-//     PublishEvery batches) and a clone per publish.
+//   - SnapshotScorer, the default, publishes an immutable serving
+//     snapshot through an atomic pointer after every Learn (or every
+//     PublishEvery batches): Predict/Proba/Complexity are wait-free and
+//     never blocked by training, at the cost of a clone per publish.
+//   - LockScorer guards one classifier with a sync.RWMutex. It is Wrap's
+//     fallback for external learners that cannot snapshot; every read
+//     waits while Learn holds the write lock.
 //   - ShardedScorer hashes rows across N independent learner replicas:
 //     multi-core serving and training where no single model instance is
 //     a bottleneck, at the cost of each replica seeing 1/N of the data.
@@ -296,38 +294,15 @@ type published struct {
 // PublishEvery batches, so reads see a state at most PublishEvery-1
 // Learn calls stale. With PublishEvery == 1 (the default) a snapshot
 // read between Learn calls is identical to a locked read.
-//
-// The alternative publish-on-change mode (NewSnapshotOnChange /
-// WithPublishOnChange) republishes only when the model's structure
-// version moved — a split, prune, replacement or member swap — instead
-// of after every batch. Tree shape is what snapshot clones pay for, and
-// structural events are orders of magnitude rarer than batches, so the
-// publish rate (and the clone cost) collapses; the trade-off is that
-// leaf-level parameter drift between structural events is not visible
-// to readers until the next event or a forced Publish.
 type SnapshotScorer struct {
 	mu           sync.Mutex // serialises Learn, Publish and Restore
 	live         model.Classifier
 	src          model.Snapshotter
 	publishEvery int
 	sincePublish int
-	onChange     bool
 	sv           model.StructureVersioner // nil when the model tracks no structure version
-	lastVersion  uint64
 	publishes    atomic.Uint64
 	cur          atomic.Pointer[published]
-
-	// Checkpoint capture cache, publish-on-change mode only: the full
-	// envelope bytes of the last capture and the live structure version
-	// they were taken at. While the version has not moved, Checkpoint
-	// re-serves these bytes instead of re-encoding full state — the same
-	// staleness contract the published snapshot already has in this mode
-	// (leaf drift between structural events is not visible either).
-	ckptRaw     []byte
-	ckptVersion uint64
-	// deltaBase is the previous CheckpointDelta capture, the base the
-	// next delta envelope is computed against.
-	deltaBase []byte
 }
 
 // NewSnapshot wraps a snapshot-capable classifier. publishEvery <= 1
@@ -344,28 +319,6 @@ func NewSnapshot(c model.Classifier, publishEvery int) (*SnapshotScorer, error) 
 	}
 	s := &SnapshotScorer{live: c, src: src, publishEvery: publishEvery}
 	s.sv, _ = c.(model.StructureVersioner)
-	s.publish()
-	return s, nil
-}
-
-// NewSnapshotOnChange wraps a snapshot-capable classifier in
-// publish-on-change mode: the snapshot is republished only when the
-// model's StructureVersion moves (see the type comment). It fails when
-// the classifier implements neither model.Snapshotter nor
-// model.StructureVersioner — the structureless GLM and Naive Bayes
-// baselines deliberately lack a structure version, since their
-// parameters drift every batch and only cadence publishing is faithful
-// for them.
-func NewSnapshotOnChange(c model.Classifier) (*SnapshotScorer, error) {
-	src, ok := c.(model.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("serve: %s does not implement model.Snapshotter; use NewLocked", c.Name())
-	}
-	sv, ok := c.(model.StructureVersioner)
-	if !ok {
-		return nil, fmt.Errorf("serve: %s does not implement model.StructureVersioner; use NewSnapshot with a publish cadence", c.Name())
-	}
-	s := &SnapshotScorer{live: c, src: src, publishEvery: 1, onChange: true, sv: sv, lastVersion: sv.StructureVersion()}
 	s.publish()
 	return s, nil
 }
@@ -393,97 +346,32 @@ func (s *SnapshotScorer) Publish() {
 	s.publish()
 }
 
-// Publishes returns the lifetime snapshot publish count (including the
-// constructor's initial publish) — the quantity the publish-on-change
-// mode collapses.
+// Publishes returns the lifetime snapshot publish count, including the
+// constructor's initial publish.
 func (s *SnapshotScorer) Publishes() uint64 { return s.publishes.Load() }
 
 // Unwrap implements Scorer.
 func (s *SnapshotScorer) Unwrap() model.Classifier { return s.live }
 
 // Learn implements model.Classifier: train the live model, then
-// republish — on the batch cadence, or in publish-on-change mode only
-// when the structure version moved.
+// republish on the batch cadence.
 func (s *SnapshotScorer) Learn(b stream.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.live.Learn(b)
-	if s.onChange {
-		if v := s.sv.StructureVersion(); v != s.lastVersion {
-			s.lastVersion = v
-			s.publish()
-		}
-		return
-	}
 	s.sincePublish++
 	if s.sincePublish >= s.publishEvery {
 		s.publish()
 	}
 }
 
-// checkpointRaw returns the scorer's current full envelope bytes. In
-// publish-on-change mode the bytes are cached keyed by the live
-// structure version, so repeated checkpoints between structural events
-// cost a version check instead of a full re-encode; cadence and default
-// modes always capture fresh (leaf parameters drift without the version
-// moving, and those modes promise full-fidelity checkpoints). Callers
-// hold s.mu.
-func (s *SnapshotScorer) checkpointRaw() ([]byte, error) {
-	if s.onChange && s.ckptRaw != nil && s.sv.StructureVersion() == s.ckptVersion {
-		return s.ckptRaw, nil
-	}
-	var buf bytes.Buffer
-	if err := persist.Save(&buf, s.live); err != nil {
-		return nil, err
-	}
-	if s.onChange {
-		s.ckptRaw, s.ckptVersion = buf.Bytes(), s.sv.StructureVersion()
-	}
-	return buf.Bytes(), nil
-}
-
 // Checkpoint implements Scorer: the live model as one envelope,
 // captured under the writer mutex so it is snapshot-consistent with the
-// published state (no Learn can interleave). In publish-on-change mode
-// an unchanged StructureVersion re-serves the cached capture.
+// published state (no Learn can interleave).
 func (s *SnapshotScorer) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw, err := s.checkpointRaw()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(raw)
-	return err
-}
-
-// CheckpointDelta writes the scorer's state as a delta envelope against
-// the previous CheckpointDelta (or Checkpoint-seeded) capture, falling
-// back to a full envelope on the first call or whenever no usable base
-// exists. It reports whether a full envelope was written. Applying the
-// emitted chain to the first full envelope reconstructs the current
-// checkpoint byte-identically (see persist.ApplyChain).
-func (s *SnapshotScorer) CheckpointDelta(w io.Writer) (full bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, err := s.checkpointRaw()
-	if err != nil {
-		return false, err
-	}
-	prev := s.deltaBase
-	s.deltaBase = raw
-	if prev == nil {
-		_, err = w.Write(raw)
-		return true, err
-	}
-	d, err := persist.MakeDelta(prev, raw)
-	if err != nil {
-		// The previous capture is unusable as a base (e.g. state was
-		// swapped underneath us): recover with a full envelope.
-		_, werr := w.Write(raw)
-		return true, werr
-	}
-	return false, persist.WriteDelta(w, d)
+	return persist.Save(w, s.live)
 }
 
 // Restore implements Scorer: the live model is replaced by the
@@ -510,18 +398,8 @@ func (s *SnapshotScorer) install(c model.Classifier) error {
 	if !ok {
 		return fmt.Errorf("serve: restored %s does not implement model.Snapshotter", c.Name())
 	}
-	sv, hasSV := c.(model.StructureVersioner)
-	if s.onChange {
-		if !hasSV {
-			return fmt.Errorf("serve: restored %s does not implement model.StructureVersioner", c.Name())
-		}
-		s.lastVersion = sv.StructureVersion()
-	}
-	s.sv = sv
+	s.sv, _ = c.(model.StructureVersioner)
 	s.live, s.src = c, src
-	// The capture cache and delta base described the replaced state; the
-	// next Checkpoint re-encodes and the next CheckpointDelta is full.
-	s.ckptRaw, s.deltaBase = nil, nil
 	s.publish()
 	return nil
 }
@@ -545,8 +423,8 @@ func (s *SnapshotScorer) Proba(x []float64, out []float64) []float64 {
 func (s *SnapshotScorer) Schema() stream.Schema { return s.cur.Load().schema }
 
 // StructureVersion implements Scorer with the version of the published
-// snapshot — the structure readers actually serve, which in cadence or
-// on-change mode can trail the live model's version.
+// snapshot — the structure readers actually serve, which with a publish
+// cadence above one can trail the live model's version.
 func (s *SnapshotScorer) StructureVersion() (uint64, bool) {
 	p := s.cur.Load()
 	return p.version, p.hasVersion
@@ -862,8 +740,6 @@ type Mode string
 const (
 	// ModeSnapshot is the default: lock-free reads via atomic snapshots.
 	ModeSnapshot Mode = "snapshot"
-	// ModeLocked is the RWMutex scorer.
-	ModeLocked Mode = "locked"
 	// ModeSharded hashes rows across independent replicas, each served
 	// through its own snapshot scorer.
 	ModeSharded Mode = "sharded"
@@ -874,12 +750,10 @@ func ParseMode(s string) (Mode, error) {
 	switch Mode(s) {
 	case "", ModeSnapshot:
 		return ModeSnapshot, nil
-	case ModeLocked:
-		return ModeLocked, nil
 	case ModeSharded:
 		return ModeSharded, nil
 	}
-	return "", fmt.Errorf("serve: unknown scorer mode %q (want snapshot, locked or sharded)", s)
+	return "", fmt.Errorf("serve: unknown scorer mode %q (want snapshot or sharded)", s)
 }
 
 // Config drives New, the registry-driven serving constructor.
@@ -893,14 +767,8 @@ type Config struct {
 	// Mode selects the Scorer implementation (default ModeSnapshot).
 	Mode Mode
 	// PublishEvery is the snapshot publish cadence in Learn calls
-	// (<= 1: every batch). Snapshot and sharded modes only.
+	// (<= 1: every batch).
 	PublishEvery int
-	// PublishOnChange republishes only when the model's structure
-	// version moved (splits/prunes/replacements/swaps) instead of on the
-	// batch cadence. Snapshot and sharded modes; requires a model that
-	// implements model.StructureVersioner (every tree learner and both
-	// ensembles do; the structureless GLM and Naive Bayes do not).
-	PublishOnChange bool
 	// Shards is the replica count of ModeSharded (default 2).
 	Shards int
 }
@@ -945,25 +813,13 @@ func New(cfg Config) (Scorer, error) {
 	build := func(extra ...registry.Option) (model.Classifier, error) {
 		return registry.New(cfg.Model, cfg.Schema, append(append([]registry.Option{}, cfg.Options...), extra...)...)
 	}
-	wrap := func(c model.Classifier) (Scorer, error) {
-		if cfg.PublishOnChange {
-			return NewSnapshotOnChange(c)
-		}
-		return Wrap(c, cfg.PublishEvery), nil
-	}
 	switch mode {
-	case ModeLocked:
-		c, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return NewLocked(c), nil
 	case ModeSnapshot:
 		c, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return wrap(c)
+		return Wrap(c, cfg.PublishEvery), nil
 	case ModeSharded:
 		// Unset defaults to 2; an explicit count is honoured as given
 		// (1 is a valid single-replica deployment, not silently doubled).
@@ -982,9 +838,7 @@ func New(cfg Config) (Scorer, error) {
 			if err != nil {
 				return nil, err
 			}
-			if shards[shard], err = wrap(c); err != nil {
-				return nil, err
-			}
+			shards[shard] = Wrap(c, cfg.PublishEvery)
 		}
 		return NewSharded(shards)
 	}
@@ -1016,7 +870,12 @@ const maxCheckpointShards = 1 << 12
 func FromCheckpoint(r io.Reader, publishEvery int) (Scorer, error) {
 	br := bufio.NewReader(r)
 	if peek, err := br.Peek(len(race.Magic)); err == nil && string(peek) == race.Magic {
-		return race.FromCheckpoint(br)
+		r, err := race.FromCheckpoint(br)
+		if err != nil {
+			// Not a typed-nil *Racer inside a non-nil Scorer.
+			return nil, err
+		}
+		return r, nil
 	}
 	peek, err := br.Peek(len(shardedMagic))
 	if err == nil && string(peek) == shardedMagic {

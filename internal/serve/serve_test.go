@@ -84,11 +84,7 @@ func TestSnapshotMatchesLockedAllModels(t *testing.T) {
 	probes := batches[len(batches)-1].X
 	for _, name := range registry.Names() {
 		t.Run(name, func(t *testing.T) {
-			locked, err := New(Config{Model: name, Schema: schema, Mode: ModeLocked,
-				Options: []registry.Option{registry.WithSeed(7)}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			locked := NewLocked(registryMust(t, name, schema, 7))
 			snap, err := New(Config{Model: name, Schema: schema, Mode: ModeSnapshot,
 				Options: []registry.Option{registry.WithSeed(7)}})
 			if err != nil {
@@ -116,11 +112,7 @@ func TestSnapshotMatchesLockedMulticlass(t *testing.T) {
 	batches, schema := multiclassBatches(t, 8, 100, 5)
 	probes := batches[len(batches)-1].X
 	for _, name := range []string{"DMT", "FIMT-DD", "GLM", "Naive Bayes", "VFDT (NBA)"} {
-		locked, err := New(Config{Model: name, Schema: schema, Mode: ModeLocked,
-			Options: []registry.Option{registry.WithSeed(2)}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		locked := NewLocked(registryMust(t, name, schema, 2))
 		snap, err := New(Config{Model: name, Schema: schema, Mode: ModeSnapshot,
 			Options: []registry.Option{registry.WithSeed(2)}})
 		if err != nil {
@@ -196,16 +188,35 @@ func registryMust(t *testing.T, name string, schema stream.Schema, seed int64) m
 	return c
 }
 
+// namedScorer is one Scorer implementation under test.
+type namedScorer struct {
+	kind string
+	s    Scorer
+}
+
+// eachScorer builds one model under every Scorer implementation, in a
+// fixed order: "locked" wraps the model in a LockScorer directly (New
+// only builds the snapshot and sharded scorers), then New's two modes.
+func eachScorer(t *testing.T, name string, schema stream.Schema, seed int64, shards int) []namedScorer {
+	t.Helper()
+	out := []namedScorer{{"locked", NewLocked(registryMust(t, name, schema, seed))}}
+	for _, mode := range []Mode{ModeSnapshot, ModeSharded} {
+		s, err := New(Config{Model: name, Schema: schema, Mode: mode, Shards: shards,
+			Options: []registry.Option{registry.WithSeed(seed)}})
+		if err != nil {
+			t.Fatalf("New(%s): %v", mode, err)
+		}
+		out = append(out, namedScorer{string(mode), s})
+	}
+	return out
+}
+
 // The batch read APIs must agree with the per-row ones and serve the
 // whole batch from one state.
 func TestBatchReadsMatchRowReads(t *testing.T) {
 	batches, schema := seaBatches(t, 6, 100, 13)
-	for _, mode := range []Mode{ModeLocked, ModeSnapshot, ModeSharded} {
-		s, err := New(Config{Model: "VFDT (NBA)", Schema: schema, Mode: mode, Shards: 3,
-			Options: []registry.Option{registry.WithSeed(3)}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ns := range eachScorer(t, "VFDT (NBA)", schema, 3, 3) {
+		mode, s := ns.kind, ns.s
 		for _, b := range batches[:5] {
 			s.Learn(b)
 		}
@@ -319,18 +330,20 @@ func TestOneHotSemantics(t *testing.T) {
 	}
 }
 
-// ParseMode accepts the three modes (and "" as snapshot) and rejects
-// anything else.
+// ParseMode accepts the two modes (and "" as snapshot) and rejects
+// anything else, "locked" included.
 func TestParseMode(t *testing.T) {
 	for s, want := range map[string]Mode{"": ModeSnapshot, "snapshot": ModeSnapshot,
-		"locked": ModeLocked, "sharded": ModeSharded} {
+		"sharded": ModeSharded} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode accepted bogus")
+	for _, bad := range []string{"bogus", "locked"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Fatalf("ParseMode accepted %q", bad)
+		}
 	}
 }
 
@@ -365,16 +378,15 @@ func TestSnapshotReadsZeroAlloc(t *testing.T) {
 
 // The -race hammer of the satellite task: concurrent Predict/Proba and
 // batch reads against a learning FIMT-DD, GLM and Naive Bayes under
-// both scorer implementations.
+// the locked and snapshot scorer implementations.
 func TestConcurrentReadsDuringLearn(t *testing.T) {
 	for _, name := range []string{"FIMT-DD", "GLM", "Naive Bayes"} {
-		for _, mode := range []Mode{ModeLocked, ModeSnapshot} {
-			t.Run(name+"/"+string(mode), func(t *testing.T) {
+		for _, mode := range []string{"locked", "snapshot"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
 				batches, schema := seaBatches(t, 40, 100, 23)
-				s, err := New(Config{Model: name, Schema: schema, Mode: mode,
-					Options: []registry.Option{registry.WithSeed(8)}})
-				if err != nil {
-					t.Fatal(err)
+				var s Scorer = NewLocked(registryMust(t, name, schema, 8))
+				if mode == "snapshot" {
+					s = Wrap(registryMust(t, name, schema, 8), 1)
 				}
 				stop := make(chan struct{})
 				var wg sync.WaitGroup

@@ -623,25 +623,13 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// Follow runs a replica's pull loop against a trainer's /v1/envelope
-// until ctx is cancelled — NewFollower(...).Run(ctx) for callers that
-// don't need the Follower handle (stats, staleness, breaker state).
-func Follow(ctx context.Context, baseURL string, sc serve.Scorer, cfg FollowConfig) error {
-	return NewFollower(baseURL, sc, cfg).Run(ctx)
-}
-
-// Bootstrap fetches the trainer's current envelope once and constructs
-// a local scorer from it (sharded checkpoints reconstruct a sharded
-// scorer). This is how `dmtserve -follow` starts with no local model.
-// A nil client gets the shared default; the fetch is bound to ctx.
-func Bootstrap(ctx context.Context, client *http.Client, baseURL string, publishEvery int) (serve.Scorer, uint64, error) {
-	sc, v, _, err := BootstrapRaw(ctx, client, baseURL, publishEvery)
-	return sc, v, err
-}
-
-// BootstrapRaw is Bootstrap returning also the fetched envelope's
-// verbatim wire bytes, so the caller can seed a Follower's delta base
-// (SeedInstalled) and the first follow poll already negotiates deltas.
+// BootstrapRaw fetches the trainer's current envelope once and
+// constructs a local scorer from it (sharded checkpoints reconstruct a
+// sharded scorer). This is how `dmtserve -follow` starts with no local
+// model. A nil client gets the shared default; the fetch is bound to
+// ctx. It also returns the envelope's version and verbatim wire bytes,
+// so the caller can seed a Follower's delta base (SeedInstalled) and the
+// first follow poll already negotiates deltas.
 func BootstrapRaw(ctx context.Context, client *http.Client, baseURL string, publishEvery int) (serve.Scorer, uint64, []byte, error) {
 	if client == nil {
 		client = httpClient(nil, 30*time.Second)

@@ -145,19 +145,14 @@ func ServePrediction(ctx context.Context, addr string, ps *PredictionServer, ln 
 	}
 }
 
-// Follow runs a replica's pull loop against a trainer's /v1/envelope
-// endpoint until ctx is cancelled: whenever the trainer's structure
-// version moves past the last installed one, the new envelope is
-// streamed into s via Restore — reads served from s never fail during
-// an install.
-func Follow(ctx context.Context, trainerURL string, s Scorer, cfg FollowConfig) error {
-	return server.Follow(ctx, trainerURL, s, cfg)
-}
-
-// NewFollower builds the resilient pull loop behind Follow as a handle:
-// start it with Run, observe it through Stats/State/Staleness, and feed
-// it to PredictionServer.SetStalenessSource so degraded responses are
-// stamped with their lag.
+// NewFollower builds a replica's resilient pull loop against a trainer's
+// /v1/envelope endpoint. Run drives it until ctx is cancelled: whenever
+// the trainer's structure version moves past the last installed one,
+// the new envelope (or a delta chain) is streamed into s via Restore —
+// reads served from s never fail during an install. Observe it through
+// Stats/State/Staleness, and feed it to
+// PredictionServer.SetStalenessSource so degraded responses are stamped
+// with their lag.
 func NewFollower(trainerURL string, s Scorer, cfg FollowConfig) *Follower {
 	return server.NewFollower(trainerURL, s, cfg)
 }
@@ -190,25 +185,14 @@ func ParseFaults(spec string) ([]FaultRule, error) {
 	return faults.Parse(spec)
 }
 
-// BootstrapScorer fetches the trainer's current envelope once and
+// BootstrapScorerRaw fetches the trainer's current envelope once and
 // builds a local Scorer from it — how a stateless replica starts with
-// no model of its own. Sharded checkpoints reconstruct a sharded
-// scorer; publishEvery sets the snapshot publish cadence of the
-// reconstructed scorer(s).
-func BootstrapScorer(ctx context.Context, trainerURL string, publishEvery int) (Scorer, uint64, error) {
-	return server.Bootstrap(ctx, nil, trainerURL, publishEvery)
-}
-
-// BootstrapScorerWith is BootstrapScorer through a caller-owned
-// http.Client — the hook for custom timeouts or a fault-injecting
-// transport.
-func BootstrapScorerWith(ctx context.Context, client *http.Client, trainerURL string, publishEvery int) (Scorer, uint64, error) {
-	return server.Bootstrap(ctx, client, trainerURL, publishEvery)
-}
-
-// BootstrapScorerRaw is BootstrapScorerWith returning the fetched
-// envelope bytes alongside the Scorer — seed them into a Follower with
-// SeedInstalled so its very first poll can negotiate delta chains
+// no model of its own. Sharded and racer checkpoints reconstruct their
+// own topology; publishEvery sets the snapshot publish cadence of the
+// reconstructed scorer(s). A nil client gets a sane default; pass one
+// for custom timeouts or a fault-injecting transport. It also returns
+// the fetched envelope version and bytes: seed them into a Follower
+// with SeedInstalled so its very first poll can negotiate delta chains
 // (GET /v1/envelope?since=V) instead of refetching full envelopes.
 func BootstrapScorerRaw(ctx context.Context, client *http.Client, trainerURL string, publishEvery int) (Scorer, uint64, []byte, error) {
 	return server.BootstrapRaw(ctx, client, trainerURL, publishEvery)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/race"
-	"repro/internal/registry"
 )
 
 // Online model racing: repro.Race trains several registered learners
@@ -120,10 +119,6 @@ func Race(schema Schema, arms []RaceArm, opts ...RaceOption) (*Racer, error) {
 // (*Racer).Checkpoint — no configuration needed, the "RACE" header
 // carries it.
 func LoadRace(r io.Reader) (*Racer, error) { return race.FromCheckpoint(r) }
-
-// RaceModels reports the registered names plus the racing aliases a
-// race spec accepts, for error messages and CLI help.
-func RaceModels() []string { return registry.Names() }
 
 // RunRaceScenario runs the racing payoff experiment — fixed arms vs the
 // racer across abrupt/gradual/recurring concept switches — and renders

@@ -15,14 +15,19 @@ import (
 // Three implementations are available (see Serve for registry-driven
 // construction):
 //
-//   - LockedScorer (NewScorer): reads under a sync.RWMutex read lock —
-//     simple, always applicable, but reads stall while Learn holds the
-//     write lock.
-//   - SnapshotScorer (NewSnapshotScorer / Serve): reads are wait-free —
-//     they load an immutable model snapshot through an atomic pointer
-//     that Learn republishes every WithPublishEvery batches.
+//   - SnapshotScorer (NewSnapshotScorer / Serve), the default: reads are
+//     wait-free — they load an immutable model snapshot through an
+//     atomic pointer that Learn republishes after every batch (or every
+//     WithPublishEvery batches).
 //   - ShardedScorer (Serve with WithShards): rows hash across N
 //     independent replicas for multi-core serving and training.
+//   - LockedScorer (NewScorer): reads under a sync.RWMutex read lock —
+//     for classifiers that cannot snapshot; reads stall while Learn
+//     holds the write lock. Serve and ScorerFromCheckpoint fall back to
+//     it for such learners.
+//
+// Every Scorer also implements Checkpoint/Restore, persisting the served
+// model through the same envelopes as Save/Load.
 type Scorer = serve.Scorer
 
 type (
@@ -53,14 +58,4 @@ func NewScorer(c Classifier) *LockedScorer { return serve.NewLocked(c) }
 // a locked scorer over the same model.
 func NewSnapshotScorer(c Classifier, publishEvery int) (*SnapshotScorer, error) {
 	return serve.NewSnapshot(c, publishEvery)
-}
-
-// NewSnapshotOnChangeScorer wraps a snapshot-capable classifier in
-// publish-on-change mode: the serving snapshot is republished only when
-// the model's tree structure moved, not after every Learn (see
-// WithPublishOnChange). Every Scorer also implements
-// Checkpoint/Restore, persisting the served model through the same
-// envelopes as Save/Load.
-func NewSnapshotOnChangeScorer(c Classifier) (*SnapshotScorer, error) {
-	return serve.NewSnapshotOnChange(c)
 }

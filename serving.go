@@ -5,8 +5,8 @@ import "repro/internal/serve"
 // Serve is the registry-driven serving entry point: it builds a
 // registered model by name and wraps it in a concurrency-safe Scorer in
 // one call. The default is the lock-free SnapshotScorer publishing after
-// every Learn; options select the publish cadence, the RWMutex fallback
-// or hash-sharded replicas.
+// every Learn; options select the publish cadence or hash-sharded
+// replicas.
 //
 //	scorer, err := repro.Serve("DMT", schema,
 //		repro.WithServeModelOptions(repro.WithSeed(42)),
@@ -43,25 +43,6 @@ type ServeOption func(*serve.Config)
 // learners can publish every batch, expensive ones amortise the clone.
 func WithPublishEvery(n int) ServeOption {
 	return func(c *serve.Config) { c.PublishEvery = n }
-}
-
-// WithPublishOnChange republishes the serving snapshot only when the
-// model's tree structure moved (a split, prune, replacement or member
-// swap) instead of every WithPublishEvery batches. Structural events
-// are orders of magnitude rarer than batches, so the clone-per-publish
-// cost collapses; readers see leaf-parameter drift only at the next
-// structural event or a forced Publish. Requires a model with a
-// structure version — every tree learner and both ensembles; the
-// structureless GLM and Naive Bayes baselines only support cadence
-// publishing.
-func WithPublishOnChange() ServeOption {
-	return func(c *serve.Config) { c.PublishOnChange = true }
-}
-
-// WithLockedServing selects the RWMutex scorer instead of the lock-free
-// snapshot scorer.
-func WithLockedServing() ServeOption {
-	return func(c *serve.Config) { c.Mode = serve.ModeLocked }
 }
 
 // WithShards serves through n independent model replicas (n <= 0
