@@ -1,7 +1,7 @@
-# CI entry points. `make ci` is the gate: vet + build + tests + a short
-# race pass over the concurrency-sensitive paths (Scorer, Runner,
-# registry) + a short decoder fuzz + the perfbench module self-test +
-# the three dmtserve smoke tests.
+# CI entry points. `make ci` is the gate: vet + build + an arm64 vet and
+# build + tests + a short race pass over the concurrency-sensitive paths
+# (Scorer, Runner, registry) + short decoder fuzzes + the perfbench
+# module self-test + the three dmtserve smoke tests.
 #
 # `make bench` runs the Benchmark*Op hot-path micro-benchmarks with
 # -benchmem and writes BENCH_PR10.json (ns/op, B/op, allocs/op and
@@ -24,9 +24,14 @@
 # replica tolerates zero errors. The follower is delta-seeded, so the
 # run also exercises ?since= delta chains (and their full-envelope
 # fallback) under fault injection.
-# `make fuzz` runs the checkpoint bootstrap decoder's native fuzz target
-# (FuzzFromCheckpoint: plain, sharded, racer and delta framings) for
-# FUZZTIME; every input must yield an error or a scorer, never a panic.
+# `make cross` vets and builds for arm64, so the portable fallbacks of
+# the amd64 assembly kernels keep compiling.
+# `make fuzz` runs the native fuzz targets of the untrusted decoders for
+# FUZZTIME each: the checkpoint bootstrap decoder (FuzzFromCheckpoint:
+# plain, sharded, racer and delta framings; every input must yield an
+# error or a scorer) and the binary rows request decoder
+# (FuzzDecodeBinaryRows; an error or exactly the declared matrix). No
+# input may panic.
 # `make perfbench` vets and self-tests the nested benchmark module
 # (perfbench/, its own go.mod), which the root `./...` patterns skip, so
 # a facade change that breaks the benchmark fails the gate.
@@ -42,17 +47,20 @@ CHAOS_SPEC ?= drop@0.15,reset@0.05,status=503@0.05,status=429@0.02,truncate=512@
 CHAOS_SEED ?= 7
 FUZZTIME ?= 10s
 
-.PHONY: all ci vet build test race fuzz perfbench bench bench-all serve-smoke chaos-smoke race-smoke fmt
+.PHONY: all ci vet build cross test race fuzz perfbench bench bench-all serve-smoke chaos-smoke race-smoke fmt
 
 all: ci
 
-ci: vet build test race fuzz perfbench serve-smoke chaos-smoke race-smoke
+ci: vet build cross test race fuzz perfbench serve-smoke chaos-smoke race-smoke
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -62,6 +70,7 @@ race:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server
 
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -222,10 +222,14 @@ func seaBatches(n, size int) []stream.Batch {
 }
 
 // BenchmarkDMTLearnBatchOp measures one DMT prequential training step on
-// a 100-row batch (SEA schema).
+// a 100-row batch (SEA schema), on a tree warmed over every batch first,
+// so ns/op does not depend on how far b.N lets the tree grow.
 func BenchmarkDMTLearnBatchOp(b *testing.B) {
 	batches := seaBatches(256, 100)
 	tree := core.New(core.Config{Seed: 1}, synth.NewSEA(100, 0.1, 1).Schema())
+	for _, batch := range batches {
+		tree.Learn(batch)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@ func TestLearnSteadyStateZeroAllocs(t *testing.T) {
 	}{
 		{"binary/m=10", 10, 2},
 		{"multiclass/m=10", 10, 4},
+		{"binary/m=200", 200, 2}, // 201-wide rows: the vector gather path
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			batches := benchBatches(tc.m, 32, 100, 21)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -386,17 +387,52 @@ func TestSingleClassBatches(t *testing.T) {
 	}
 }
 
+// Once full, the change log is a ring: the newest maxChangeLog events,
+// oldest first, in Changes and in the checkpoint, and a save → load →
+// save round trip is byte-identical, also after the loaded tree logs on.
 func TestChangeLogCapped(t *testing.T) {
+	const extra = 17
 	tree := New(Config{Seed: 11}, schema(2, 2))
-	for i := 0; i < maxChangeLog+100; i++ {
+	for i := 0; i < maxChangeLog+extra; i++ {
 		tree.logChange(ChangeEvent{Step: i})
 	}
-	changes := tree.Changes()
-	if len(changes) != maxChangeLog {
-		t.Fatalf("change log length %d, want cap %d", len(changes), maxChangeLog)
+	checkWindow := func(tr *Tree, first int) {
+		t.Helper()
+		changes := tr.Changes()
+		if len(changes) != maxChangeLog {
+			t.Fatalf("change log length %d, want %d", len(changes), maxChangeLog)
+		}
+		for i, ev := range changes {
+			if ev.Step != first+i {
+				t.Fatalf("change %d has step %d, want %d (oldest first)", i, ev.Step, first+i)
+			}
+		}
 	}
-	if changes[len(changes)-1].Step != maxChangeLog+99 {
-		t.Fatal("newest change lost")
+	checkWindow(tree, extra)
+	save := func(tr *Tree) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := save(tree)
+	loaded, err := loadPayload(bytes.NewReader(first), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWindow(loaded, extra)
+	if !bytes.Equal(save(loaded), first) {
+		t.Fatal("save → load → save changed the checkpoint bytes")
+	}
+	for i := maxChangeLog + extra; i < maxChangeLog+2*extra; i++ {
+		tree.logChange(ChangeEvent{Step: i})
+		loaded.logChange(ChangeEvent{Step: i})
+	}
+	checkWindow(loaded, 2*extra)
+	if !bytes.Equal(save(loaded), save(tree)) {
+		t.Fatal("the loaded tree's log diverged from the original's")
 	}
 }
 

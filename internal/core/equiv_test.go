@@ -157,10 +157,22 @@ func compareTrees(t *testing.T, fast, ref *Tree, tol float64) {
 // (including NaN rows and single-class batches) — after every Learn step
 // the index statistics must match the naive fold within 1e-9.
 func TestCandidateIndexMatchesNaiveAccumulation(t *testing.T) {
-	for _, seed := range []int64{101, 102, 103, 104} {
+	for _, tc := range []struct {
+		seed int64
+		m, c int // 0: drawn from the seed
+	}{
+		{101, 0, 0}, {102, 0, 0}, {103, 0, 0}, {104, 0, 0},
+		// Gradient rows of 41 and 65 weights: the vector gather's
+		// 32-column blocks plus a scalar tail.
+		{105, 40, 2}, {106, 12, 5},
+	} {
+		seed := tc.seed
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(5)
 		c := 2 + rng.Intn(3)
+		if tc.m > 0 {
+			m, c = tc.m, tc.c
+		}
 		cfg := Config{
 			Seed:            seed,
 			CandidateFactor: 1 + rng.Intn(3),

@@ -170,7 +170,7 @@ func loadPayload(r io.Reader, wantSchema *stream.Schema) (*Tree, error) {
 		splits:   doc.Splits,
 		replaces: doc.Replaces,
 		prunes:   doc.Prunes,
-		changes:  doc.Changes,
+		changes:  doc.Changes[max(0, len(doc.Changes)-maxChangeLog):],
 	}
 	if doc.Version >= treeDocVersion {
 		t.rng, t.rngSrc = rng.Restore(doc.RNG)

@@ -80,7 +80,10 @@ type Tree struct {
 	step    int
 
 	splits, replaces, prunes int
-	changes                  []ChangeEvent
+	// changes is a ring of the last maxChangeLog events: it fills in
+	// order, then each new event overwrites the oldest, at changeHead.
+	changes    []ChangeEvent
+	changeHead int
 }
 
 // New returns an empty DMT for the schema. The root starts as a single
@@ -285,11 +288,12 @@ func (t *Tree) replace(n *node, c splitChoice, thr float64) {
 }
 
 func (t *Tree) logChange(ev ChangeEvent) {
-	if len(t.changes) >= maxChangeLog {
-		copy(t.changes, t.changes[1:])
-		t.changes = t.changes[:maxChangeLog-1]
+	if len(t.changes) < maxChangeLog {
+		t.changes = append(t.changes, ev)
+		return
 	}
-	t.changes = append(t.changes, ev)
+	t.changes[t.changeHead] = ev
+	t.changeHead = (t.changeHead + 1) % maxChangeLog
 }
 
 // sortTo routes x to its leaf via the shared model.RouteSplit predicate.
@@ -377,7 +381,8 @@ func (t *Tree) Snapshot() model.Snapshot {
 // Changes returns the retained structural-change history (oldest first).
 func (t *Tree) Changes() []ChangeEvent {
 	out := make([]ChangeEvent, len(t.changes))
-	copy(out, t.changes)
+	n := copy(out, t.changes[t.changeHead:])
+	copy(out[n:], t.changes[:t.changeHead])
 	return out
 }
 

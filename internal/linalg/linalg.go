@@ -168,12 +168,21 @@ func Norm2SqDiff(a, b []float64) float64 {
 
 // AddGatherRows computes dst[c] += Σ_r src[rows[r]*stride+c] — the sum of
 // a gathered set of stride-wide rows, accumulated destination-stationary:
-// four output coordinates are held in registers while the member rows
-// stream past, so each element costs one load and one add instead of the
-// load/add/store round trip of repeated Add calls. The accumulation order
-// per coordinate is exactly row order, so the result is bit-identical to
-// adding the rows one at a time.
+// a block of output coordinates is held in registers while the member
+// rows stream past, so each element costs one load and one add instead of
+// the load/add/store round trip of repeated Add calls. The accumulation
+// order per coordinate is exactly row order, with one IEEE double
+// addition per row, so the result is bit-identical to adding the rows one
+// at a time (up to NaN payloads, which Go leaves unspecified). A row
+// whose window src[r*stride:r*stride+len(dst)] is out of range panics. On amd64 with AVX, blocks of 32 coordinates go through a
+// vector kernel (gather_amd64.s); the rest take the scalar loops.
 func AddGatherRows(dst, src []float64, rows []int32, stride int) {
+	addGatherRows(dst, src, rows, stride)
+}
+
+// addGatherRowsGeneric is the portable AddGatherRows: eight coordinates
+// per register block, then one at a time.
+func addGatherRowsGeneric(dst, src []float64, rows []int32, stride int) {
 	c := 0
 	for ; c+8 <= len(dst); c += 8 {
 		s0, s1, s2, s3 := dst[c], dst[c+1], dst[c+2], dst[c+3]

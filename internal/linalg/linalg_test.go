@@ -131,39 +131,125 @@ func TestSuffixSumRows(t *testing.T) {
 	SuffixSumRows(nil, 0, 2)
 }
 
+// sameFloat reports whether a and b have the same bits, or are both NaN.
+// When two NaNs with different payloads meet, x86 keeps the first
+// operand's, and Go leaves the payload unspecified: the compiler may
+// emit a commutative s += g as g + s after a register spill (the
+// portable 8-wide loop does so for its last lane). Every non-NaN result
+// of an addition is independent of operand order, so everything but the
+// payload must match bit for bit. The DMT never sees two payloads: it
+// drops rows with non-finite features, so any NaN it computes is the
+// one default NaN of the hardware.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// gatherValue draws a test value: mostly normal, with NaN, ±Inf, −0 and
+// subnormals mixed in so the bit comparison covers IEEE special cases.
+func gatherValue(rng *rand.Rand) float64 {
+	switch rng.Intn(64) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return math.Copysign(0, -1)
+	case 4:
+		return math.Float64frombits(1 + uint64(rng.Int63n(1<<52-1))) // subnormal
+	case 5:
+		return -math.SmallestNonzeroFloat64
+	}
+	return rng.NormFloat64()
+}
+
 // AddGatherRows must be bit-identical to adding the gathered rows one at
-// a time with Add, for every destination width (all blocking remainders)
-// and any gather order, including repeats.
+// a time with Add, for every destination width (all scalar remainders,
+// and one side and the other of each 32-column vector block), with rows
+// wider than dst, dst at an offset that breaks 32-byte alignment, and
+// any gather order, including repeats.
 func TestAddGatherRowsMatchesSequentialAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	for _, w := range []int{1, 2, 3, 4, 5, 7, 8, 11, 16} {
-		const nRows = 9
-		src := make([]float64, nRows*w)
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
-		rows := []int32{3, 0, 7, 3, 5}
-		got := make([]float64, w)
-		want := make([]float64, w)
-		for i := range got {
-			got[i] = rng.NormFloat64()
-			want[i] = got[i]
-		}
-		AddGatherRows(got, src, rows, w)
-		for _, r := range rows {
-			Add(want, src[int(r)*w:int(r)*w+w])
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("w=%d: AddGatherRows[%d] = %v, want %v (must be bit-identical)", w, i, got[i], want[i])
+	for _, w := range []int{1, 2, 3, 4, 5, 7, 8, 11, 16, 31, 32, 33, 63, 64, 65, 201} {
+		for _, pad := range []int{0, 3} {
+			const nRows = 23
+			stride := w + pad
+			src := make([]float64, nRows*stride)
+			for i := range src {
+				src[i] = gatherValue(rng)
+			}
+			rows := make([]int32, 40)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(nRows))
+			}
+			rows[7] = rows[3] // at least one repeat
+			got := make([]float64, w+1)[1:]
+			want := make([]float64, w)
+			for i := range got {
+				got[i] = gatherValue(rng)
+				want[i] = got[i]
+			}
+			AddGatherRows(got, src, rows, stride)
+			for _, r := range rows {
+				Add(want, src[int(r)*stride:int(r)*stride+w])
+			}
+			for i := range got {
+				if !sameFloat(got[i], want[i]) {
+					t.Fatalf("w=%d stride=%d: AddGatherRows[%d] = %v, want %v (must be bit-identical)", w, stride, i, got[i], want[i])
+				}
+			}
+			before := append([]float64(nil), got...)
+			AddGatherRows(got, src, nil, stride) // empty gather is a no-op
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("w=%d stride=%d: empty gather changed dst", w, stride)
+				}
 			}
 		}
-		AddGatherRows(got, src, nil, w) // empty gather is a no-op
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("w=%d: empty gather changed dst", w)
-			}
+	}
+}
+
+// A member whose window reaches past src, or a negative member, panics
+// on every path, as the bounds-checked loop does.
+func TestAddGatherRowsPanicsOnBadRow(t *testing.T) {
+	for _, w := range []int{5, 32, 201} {
+		for _, bad := range []int32{4, -1, math.MaxInt32} {
+			src := make([]float64, 4*w)
+			dst := make([]float64, w)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("w=%d: member %d of 4 rows did not panic", w, bad)
+					}
+				}()
+				AddGatherRows(dst, src, []int32{0, 3, bad, 1}, w)
+			}()
 		}
+		// The last row's window may end exactly at len(src).
+		AddGatherRows(make([]float64, w), make([]float64, 3*w+w), []int32{3}, w)
+	}
+}
+
+// BenchmarkAddGatherRowsOp measures one bucket gather at the shape of a
+// 200-feature binary DMT: 201-wide gradient rows, ~190 members of a
+// 250-row batch.
+func BenchmarkAddGatherRowsOp(b *testing.B) {
+	const w, nRows, members = 201, 250, 190
+	rng := rand.New(rand.NewSource(73))
+	src := make([]float64, nRows*w)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	rows := make([]int32, members)
+	for i, r := range rng.Perm(nRows)[:members] {
+		rows[i] = int32(r)
+	}
+	dst := make([]float64, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddGatherRows(dst, src, rows, w)
 	}
 }
 

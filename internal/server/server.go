@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -386,9 +387,14 @@ func (s *Server) readRows(w http.ResponseWriter, r *http.Request) ([][]float64, 
 	return req.Rows, req.Proba, true
 }
 
-// maxBinaryCells bounds rows*cols of a binary request so a corrupt
-// header cannot demand an absurd allocation (64 MiB of float64s).
+// maxBinaryCells bounds rows*cols of a binary request (64 MiB of
+// float64s).
 const maxBinaryCells = 8 << 20
+
+// binaryChunkCells is how many cells decodeBinaryRows reads per step. It
+// grows the matrix as the cells arrive, so a header that claims more than
+// its body carries costs at most one chunk, not the claimed shape.
+const binaryChunkCells = 4096
 
 func decodeBinaryRows(r io.Reader) ([][]float64, error) {
 	var head [8]byte
@@ -400,15 +406,21 @@ func decodeBinaryRows(r io.Reader) ([][]float64, error) {
 	if n == 0 || m == 0 || uint64(n)*uint64(m) > maxBinaryCells {
 		return nil, fmt.Errorf("implausible shape %dx%d", n, m)
 	}
-	flat := make([]byte, 8*int(n)*int(m))
-	if _, err := io.ReadFull(r, flat); err != nil {
-		return nil, fmt.Errorf("read %dx%d float64 cells: %w", n, m, err)
+	cells := int(n) * int(m)
+	chunk := make([]byte, 8*min(cells, binaryChunkCells))
+	vals := make([]float64, 0, min(cells, binaryChunkCells))
+	for len(vals) < cells {
+		buf := chunk[:8*min(cells-len(vals), binaryChunkCells)]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("read %dx%d float64 cells: %w", n, m, err)
+		}
+		k := len(vals)
+		vals = slices.Grow(vals, len(buf)/8)[:k+len(buf)/8]
+		for i := range vals[k:] {
+			vals[k+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
 	}
 	rows := make([][]float64, n)
-	vals := make([]float64, int(n)*int(m))
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(flat[8*i:]))
-	}
 	for i := range rows {
 		rows[i] = vals[i*int(m) : (i+1)*int(m) : (i+1)*int(m)]
 	}
