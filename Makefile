@@ -29,9 +29,11 @@
 # `make fuzz` runs the native fuzz targets of the untrusted decoders for
 # FUZZTIME each: the checkpoint bootstrap decoder (FuzzFromCheckpoint:
 # plain, sharded, racer and delta framings; every input must yield an
-# error or a scorer) and the binary rows request decoder
-# (FuzzDecodeBinaryRows; an error or exactly the declared matrix). No
-# input may panic.
+# error or a scorer), the binary rows request decoder
+# (FuzzDecodeBinaryRows; an error or exactly the declared matrix) and
+# the JSON request bodies of /v1/predict and /v1/predict_batch
+# (FuzzDecodeJSONRows; a 400, or one prediction per schema-width row).
+# No input may panic.
 # `make perfbench` vets and self-tests the nested benchmark module
 # (perfbench/, its own go.mod), which the root `./...` patterns skip, so
 # a facade change that breaks the benchmark fails the gate.
@@ -71,6 +73,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONRows$$' -fuzztime $(FUZZTIME) ./internal/server
 
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -85,7 +85,7 @@ func main() {
 		noDelta   = flag.Bool("no-delta", false, "replica mode: always fetch full envelopes instead of negotiating delta chains")
 		interval  = flag.Duration("interval", 500*time.Millisecond, "replica poll interval")
 		wait      = flag.Duration("wait", 10*time.Second, "replica long-poll duration (0 = plain polling)")
-		window    = flag.Duration("window", time.Millisecond, "request coalescing window")
+		window    = flag.Duration("window", time.Millisecond, "cap on how long a single /v1/predict waits for companions; paid only while waits catch some (negative: never wait)")
 		maxBatch  = flag.Int("maxbatch", 64, "max rows per coalesced batch")
 		inflight  = flag.Int("inflight", 256, "max in-flight prediction requests before 429")
 		smoke     = flag.Bool("smoke", false, "run the self-test and exit")

@@ -18,8 +18,8 @@ import (
 
 // benchLoad drives the full HTTP stack — client, coalescer, scorer —
 // with parallel requests while a trainer goroutine keeps Learning, and
-// reports the serving numbers the ISSUE's acceptance criteria ask for:
-// p50/p99 request latency and sustained QPS under concurrent training.
+// reports p50/p99 request latency, sustained QPS and the rows per
+// coalesced PredictBatch dispatch under concurrent training.
 func benchLoad(b *testing.B, makeBody func(i int) (string, []byte), path string) {
 	sc := newTrainedScorer(b, 120)
 	srv := New(sc, Config{CoalesceWindow: time.Millisecond, MaxBatch: 64, MaxInFlight: 1024})
@@ -102,6 +102,9 @@ func benchLoad(b *testing.B, makeBody func(i int) (string, []byte), path string)
 	b.ReportMetric(quantile(0.50), "p50-ns")
 	b.ReportMetric(quantile(0.99), "p99-ns")
 	b.ReportMetric(float64(len(all))/elapsed.Seconds(), "qps")
+	if st := srv.Status(); st.CoalescedBatches > 0 {
+		b.ReportMetric(float64(st.CoalescedRows)/float64(st.CoalescedBatches), "rows/batch")
+	}
 }
 
 // newBenchHTTP serves the handler on a real socket (httptest pulls in

@@ -24,11 +24,15 @@ type predictJob struct {
 }
 
 // coalescer turns concurrent single-row predictions into PredictBatch
-// calls. One dispatcher goroutine collects jobs: the first arrival
-// opens a batch window; the batch is flushed when it reaches maxBatch
-// rows or the window expires, whichever is first. A zero window means
-// "whatever is already queued at dispatch time" — arrivals still
-// coalesce under load, but an isolated request never waits.
+// calls. One dispatcher goroutine collects jobs: it takes the first
+// arrival and whatever is already queued behind it, then may wait up to
+// the window for stragglers, and flushes when the batch reaches
+// maxBatch rows or the wait ends. The window is a cap, paid only while
+// waits catch companions: once they stop catching any, dispatches flush
+// without waiting until queued companions show up again (see run). An
+// isolated request therefore flushes at once, while a burst of
+// concurrent ones still coalesces. A zero window never waits; arrivals
+// queued at dispatch time still coalesce.
 //
 // The point is not only throughput (one snapshot load / lock
 // acquisition amortised over the batch — the scorer's batch path is
@@ -47,6 +51,7 @@ type coalescer struct {
 
 	batches atomic.Uint64 // PredictBatch dispatches issued
 	rows    atomic.Uint64 // rows answered through those dispatches
+	waits   atomic.Uint64 // dispatches that waited out the whole window
 }
 
 func newCoalescer(sc serve.Scorer, window time.Duration, maxBatch, queue int) *coalescer {
@@ -122,6 +127,15 @@ func (c *coalescer) run() {
 	batch := make([]*predictJob, 0, c.maxBatch)
 	X := make([][]float64, 0, c.maxBatch)
 	preds := make([]int, 0, c.maxBatch)
+	// credit is how many empty waits the dispatcher will still pay. It
+	// starts at one, so the first request of a cold burst waits for the
+	// rest. A wait that catches k companions sets it to k, an empty wait
+	// halves it, and a free drain that finds companions lifts it to at
+	// least one. Without credit a dispatch flushes at once, except that
+	// after maxBatch such dispatches in a row the next one waits anyway:
+	// a burst whose first request came alone still coalesces, and an
+	// isolated caller pays the window at most once per maxBatch requests.
+	credit, unwaited := 1, 0
 	for {
 		// Block for the first job of the next batch.
 		var first *predictJob
@@ -142,22 +156,26 @@ func (c *coalescer) run() {
 			}
 			break
 		}
+		if len(batch) > 1 || unwaited >= c.maxBatch {
+			credit = max(credit, 1)
+		}
 
-		// Under a positive window, wait out the remainder for
-		// stragglers — this is the latency the caller trades for
-		// batch efficiency.
-		if c.window > 0 && len(batch) < c.maxBatch {
+		// With credit, wait out the window for stragglers: the latency
+		// the caller trades for batch efficiency.
+		if credit > 0 && c.window > 0 && len(batch) < c.maxBatch {
 			if timer == nil {
 				timer = time.NewTimer(c.window)
 			} else {
 				timer.Reset(c.window)
 			}
+			drained := len(batch)
 		fill:
 			for len(batch) < c.maxBatch {
 				select {
 				case j := <-c.jobs:
 					batch = append(batch, j)
 				case <-timer.C:
+					c.waits.Add(1)
 					break fill
 				case <-c.stop:
 					// Flush what we have before exiting: these
@@ -166,12 +184,15 @@ func (c *coalescer) run() {
 					return
 				}
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+			timer.Stop()
+			if caught := len(batch) - drained; caught > 0 {
+				credit = caught
+			} else {
+				credit /= 2
 			}
+			unwaited = 0
+		} else {
+			unwaited++
 		}
 
 		c.flush(batch, X, preds)

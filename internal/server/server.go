@@ -83,10 +83,13 @@ const (
 // Config tunes a Server. The zero value serves with the defaults noted
 // on each field.
 type Config struct {
-	// CoalesceWindow is how long a single /v1/predict request may wait
-	// for companions before its batch is flushed (default 1ms; negative
-	// disables waiting — whatever is queued at dispatch time coalesces,
-	// but nothing waits).
+	// CoalesceWindow caps how long a single /v1/predict request may wait
+	// for companions before its batch is flushed (default 1ms). The
+	// window is paid only while waits catch companions: once they stop
+	// catching any, singles flush at once until queued companions show
+	// up again, with one probing wait per MaxBatch unwaited singles.
+	// Negative disables waiting — whatever is queued at dispatch time
+	// coalesces, but nothing waits.
 	CoalesceWindow time.Duration
 	// MaxBatch caps one coalesced PredictBatch call (default 64 rows).
 	MaxBatch int
@@ -820,6 +823,7 @@ type Status struct {
 	ServedRows          uint64        `json:"served_rows"`
 	CoalescedBatches    uint64        `json:"coalesced_batches"`
 	CoalescedRows       uint64        `json:"coalesced_rows"`
+	CoalesceWaits       uint64        `json:"coalesce_waits"`
 	Rejected            uint64        `json:"rejected"`
 	Swaps               uint64        `json:"swaps"`
 	DeltasServed        uint64        `json:"deltas_served,omitempty"`
@@ -856,6 +860,7 @@ func (s *Server) Status() Status {
 		ServedRows:          s.served.Load(),
 		CoalescedBatches:    s.co.batches.Load(),
 		CoalescedRows:       s.co.rows.Load(),
+		CoalesceWaits:       s.co.waits.Load(),
 		Rejected:            s.rejected.Load(),
 		Swaps:               s.swaps.Load(),
 		DeltasServed:        s.deltasServed.Load(),

@@ -264,6 +264,70 @@ func TestCoalescingMergesConcurrentSingles(t *testing.T) {
 	t.Logf("coalesced %d rows into %d batches", st.CoalescedRows, st.CoalescedBatches)
 }
 
+// Sequential singles have no companions to wait for: the first wait
+// catches nothing, and the rest flush at once instead of each paying the
+// window. /statusz's coalesce_waits counts the windows paid.
+func TestIsolatedSinglesSkipTheWindow(t *testing.T) {
+	const window = 200 * time.Millisecond
+	sc := newTrainedScorer(t, 20)
+	_, ts := newTestServer(t, sc, Config{CoalesceWindow: window})
+	X, _ := seaRows(20, 17)
+	want := sc.PredictBatch(X, nil)
+
+	start := time.Now()
+	for i, x := range X {
+		resp := postJSON(t, ts.URL+"/v1/predict", predictRequest{X: x})
+		var pr predictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if pr.Y != want[i] {
+			t.Fatalf("row %d: got %d want %d", i, pr.Y, want[i])
+		}
+	}
+	elapsed := time.Since(start)
+
+	resp, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.CoalescedRows != uint64(len(X)) {
+		t.Fatalf("coalesced %d rows, want %d", st.CoalescedRows, len(X))
+	}
+	if st.CoalesceWaits > 2 {
+		t.Fatalf("%d of %d sequential singles waited out the window", st.CoalesceWaits, len(X))
+	}
+	if bound := 5 * window; elapsed > bound {
+		t.Fatalf("%d sequential singles took %v (bound %v)", len(X), elapsed, bound)
+	}
+	t.Logf("%d sequential singles in %v, %d waits", len(X), elapsed, st.CoalesceWaits)
+}
+
+// Without credit the dispatcher still waits once every MaxBatch
+// dispatches, so a burst whose first request came alone coalesces. A
+// single in-process caller can never be caught by its own wait, which
+// makes the count exact: dispatches 1, 6 and 11 wait.
+func TestIdleDispatcherWaitsOncePerMaxBatch(t *testing.T) {
+	sc := newTrainedScorer(t, 20)
+	srv := New(sc, Config{CoalesceWindow: 5 * time.Millisecond, MaxBatch: 4})
+	defer srv.Close()
+	X, _ := seaRows(12, 19)
+	for _, x := range X {
+		if _, err := srv.co.predict(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Status(); st.CoalesceWaits != 3 || st.CoalescedBatches != 12 {
+		t.Fatalf("%d waits over %d dispatches, want 3 over 12", st.CoalesceWaits, st.CoalescedBatches)
+	}
+}
+
 // blockingScorer gates PredictBatch so a test can hold requests in
 // flight deliberately.
 type blockingScorer struct {
