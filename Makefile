@@ -32,7 +32,12 @@
 # error or a scorer), the binary rows request decoder
 # (FuzzDecodeBinaryRows; an error or exactly the declared matrix) and
 # the JSON request bodies of /v1/predict and /v1/predict_batch
-# (FuzzDecodeJSONRows; a 400, or one prediction per schema-width row).
+# (FuzzDecodeJSONRows; a 400, or one prediction per schema-width row),
+# delta chains read off arbitrary bytes and applied to a fixed base
+# envelope (FuzzApplyDeltaChain; an error, or the envelope the last link
+# pins, allocating no more than the input and the links' results can
+# account for) and the rolling diff itself (FuzzPatchRoundTrip: applying
+# makePatch(base, target) to base gives target back).
 # No input may panic.
 # `make perfbench` vets and self-tests the nested benchmark module
 # (perfbench/, its own go.mod), which the root `./...` patterns skip, so
@@ -74,6 +79,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryRows$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONRows$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyDeltaChain$$' -fuzztime $(FUZZTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzPatchRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/persist
 
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

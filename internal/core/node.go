@@ -39,11 +39,13 @@ type node struct {
 	left, right *node
 	depth       int
 
-	// snap caches the immutable SnapNode that froze this subtree at the
-	// last publish. update() clears it along every learn-visited path
-	// (conservative: any node that received rows may have changed), so
-	// Snapshot() re-freezes only cache misses — copy-on-write publishing.
+	// snap caches the immutable SnapNode that froze this subtree's
+	// shape at the last publish. update() clears it on the path of every
+	// split, replace and prune, so Snapshot() re-freezes only the
+	// structure that changed; leaf models go through the tree's slot
+	// table.
 	snap *model.SnapNode
+	model.LeafSlot
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }

@@ -84,6 +84,8 @@ type Tree struct {
 	// order, then each new event overwrites the oldest, at changeHead.
 	changes    []ChangeEvent
 	changeHead int
+
+	slots model.LeafTable[*node]
 }
 
 // New returns an empty DMT for the schema. The root starts as a single
@@ -139,33 +141,37 @@ func (t *Tree) Learn(b stream.Batch) {
 }
 
 // update recursively processes one node: statistics first (top-down),
-// then children, then this node's structural decision (bottom-up).
-func (t *Tree) update(n *node, b stream.Batch) {
-	// Any node that receives rows may change (model drift at least,
-	// structure at most), so its frozen-subtree cache is stale. The nodes
-	// a structural change touches are exactly the visited ones: splits and
-	// replaces fire at n itself, prunes drop the (also invalidated)
-	// subtree below n.
-	n.snap = nil
+// then children, then this node's structural decision (bottom-up). It
+// reports whether the subtree changed shape, clearing the frozen-
+// structure cache of every node on the way back up from a split,
+// replace or prune; a leaf whose model merely learnt is queued for the
+// next publish's slot table instead.
+func (t *Tree) update(n *node, b stream.Batch) bool {
 	inner := !n.isLeaf()
 	if !inner || !t.cfg.DisableInnerUpdates {
 		t.updateStats(n, b)
 	}
 
+	changed := false
 	if inner {
 		left, right := t.partition(b, n)
-		if left.Len() > 0 {
-			t.update(n.left, left)
+		if left.Len() > 0 && t.update(n.left, left) {
+			changed = true
 		}
-		if right.Len() > 0 {
-			t.update(n.right, right)
+		if right.Len() > 0 && t.update(n.right, right) {
+			changed = true
 		}
-		if !t.cfg.DisablePruning && !t.cfg.DisableInnerUpdates {
-			t.tryRestructure(n)
+		if !t.cfg.DisablePruning && !t.cfg.DisableInnerUpdates && t.tryRestructure(n) {
+			changed = true
 		}
-		return
+	} else {
+		t.slots.Touch(n)
+		changed = t.trySplit(n)
 	}
-	t.trySplit(n)
+	if changed {
+		n.snap = nil
+	}
+	return changed
 }
 
 // partition splits a batch by the node's test without copying rows. The
@@ -191,25 +197,39 @@ func (t *Tree) partition(b stream.Batch, n *node) (left, right stream.Batch) {
 
 // trySplit applies gain (3) with the AIC threshold of eq. (11) at a leaf:
 // split when G >= k - log(eps), where k is the free-parameter count of one
-// simple model (two child models replace one leaf model).
-func (t *Tree) trySplit(n *node) {
+// simple model (two child models replace one leaf model). It reports
+// whether the leaf split.
+func (t *Tree) trySplit(n *node) bool {
 	if t.cfg.MaxDepth > 0 && n.depth >= t.cfg.MaxDepth {
-		return
+		return false
 	}
 	c, ok := t.bestCandidate(n, n.loss, false)
 	if !ok {
-		return
+		return false
 	}
 	thr := t.k + t.cfg.logEps()
 	if c.gain < thr {
-		return
+		return false
 	}
 	t.split(n, c, thr)
+	return true
+}
+
+// release frees the leaf slots of n's served subtree (n itself when it
+// is a leaf) before the subtree changes shape.
+func (t *Tree) release(n *node) {
+	if n.isLeaf() {
+		t.slots.Release(n)
+		return
+	}
+	t.release(n.left)
+	t.release(n.right)
 }
 
 // split turns a leaf into an inner node with two warm-started children and
 // restarts the node's epoch so I_t = ∪ J_t holds for the new family.
 func (t *Tree) split(n *node, c splitChoice, thr float64) {
+	t.release(n)
 	n.feature, n.threshold, n.kind, n.mask = c.feature, c.threshold, c.kind, c.mask
 	n.left = t.newNode(n.depth+1, n.mod)
 	n.right = t.newNode(n.depth+1, n.mod)
@@ -227,10 +247,11 @@ func (t *Tree) split(n *node, c splitChoice, thr float64) {
 // any candidate always dominates gain (5); the paper's "retain the
 // smaller tree" tie-break (Lemma 2) therefore compares the AIC-adjusted
 // gains: prune wins unless the alternate split's gradient improvement
-// exceeds the parameter cost k of the extra model.
-func (t *Tree) tryRestructure(n *node) {
+// exceeds the parameter cost k of the extra model. It reports whether
+// the subtree changed.
+func (t *Tree) tryRestructure(n *node) bool {
 	if n.n < t.cfg.RestructureGrace {
-		return // children have not had time to realise their advantage
+		return false // children have not had time to realise their advantage
 	}
 	leafLoss, leaves := subtreeLeafStats(n)
 	subLeaves := float64(leaves)
@@ -255,7 +276,10 @@ func (t *Tree) tryRestructure(n *node) {
 		t.prune(n, gain5, thr5)
 	case replacePass:
 		t.replace(n, c, thr4)
+	default:
+		return false
 	}
+	return true
 }
 
 // prune removes the subtree below n, making it a leaf again. The node
@@ -267,6 +291,7 @@ func (t *Tree) prune(n *node, gain, thr float64) {
 		Feature: n.feature, Threshold: n.threshold, SplitKind: n.kind, Mask: n.mask,
 		Gain: gain, AICThreshold: thr,
 	}
+	t.release(n)
 	n.left, n.right = nil, nil
 	t.prunes++
 	t.logChange(ev)
@@ -275,6 +300,7 @@ func (t *Tree) prune(n *node, gain, thr float64) {
 // replace swaps the subtree below n for a new split with two fresh
 // warm-started leaves and restarts the node's epoch.
 func (t *Tree) replace(n *node, c splitChoice, thr float64) {
+	t.release(n)
 	n.feature, n.threshold, n.kind, n.mask = c.feature, c.threshold, c.kind, c.mask
 	n.left = t.newNode(n.depth+1, n.mod)
 	n.right = t.newNode(n.depth+1, n.mod)
@@ -345,35 +371,40 @@ func (t *Tree) Complexity() model.Complexity {
 }
 
 // freeze returns the immutable SnapNode of n's subtree, reusing the one
-// cached at the last publish when no learn path has visited n since.
-// Leaf predictors are cloned at freeze time, so the snapshot shares no
-// mutable state with the live tree.
-func freeze(n *node) *model.SnapNode {
-	if n.snap != nil {
-		return n.snap
-	}
-	if n.isLeaf() {
-		n.snap = model.FreezeLeaf(n.mod.Clone())
-	} else {
-		n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, freeze(n.left), freeze(n.right))
+// cached at the last publish when no split, replace or prune has
+// happened below n since. A leaf freezes to its slot.
+func (t *Tree) freeze(n *node) *model.SnapNode {
+	if n.snap == nil {
+		if n.isLeaf() {
+			n.snap = t.slots.Freeze(n)
+		} else {
+			n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, t.freeze(n.left), t.freeze(n.right))
+		}
 	}
 	return n.snap
 }
+
+// leafClone is the slot-table entry of a leaf: a clone of its simple
+// model, so the snapshot shares no mutable state with the live tree.
+func leafClone(n *node) model.LeafScorer { return n.mod.Clone() }
 
 // Snapshot implements model.Snapshotter: an immutable serving copy of
 // the current tree structure with cloned leaf simple models. Inner-node
 // models, candidate indices and scratch are learn-path state and are not
 // captured — the snapshot serves Predict/Proba/Complexity only.
 //
-// Publishing is copy-on-write: subtrees untouched since the previous
-// Snapshot call are shared with it via the per-node freeze cache, so a
-// publish after one local change costs O(changed path), not O(tree).
+// Publishing is copy-on-write: the structure is shared with the previous
+// Snapshot except along the paths of splits, replaces and prunes since,
+// and only the leaves that learnt since are re-cloned, into copies of
+// the slot-table chunks holding them — O(changed leaves + structure
+// changes) plus a copy of the table's chunk index, not O(tree).
 func (t *Tree) Snapshot() model.Snapshot {
-	root := freeze(t.root)
+	root := t.freeze(t.root)
 	return &model.CowTree{
 		ModelName:     t.Name(),
 		Comp:          model.TreeComplexity(root.Inner, root.Leaves, root.Depth, model.LeafModel, t.schema.NumFeatures, t.schema.NumClasses),
 		Root:          root,
+		Leaves:        t.slots.Publish(leafClone),
 		NonFiniteLeft: true,
 	}
 }

@@ -50,11 +50,13 @@ type enode struct {
 	depth       int
 	sinceReeval float64
 
-	// snap caches the immutable SnapNode that froze this subtree at the
-	// last publish; the learn walk clears it along its path (every
-	// structural revisit — install, replace, retract — happens at a
-	// visited node), so Snapshot() re-freezes only what changed.
+	// snap caches the immutable SnapNode that froze this subtree's
+	// shape at the last publish; a structural revisit — install,
+	// replace, retract, all at a node of the learn path — clears it
+	// along that path, so Snapshot() re-freezes only the structure that
+	// changed. Leaf statistics go through the tree's slot table.
 	snap *model.SnapNode
+	model.LeafSlot
 }
 
 func (n *enode) isLeaf() bool { return n.left == nil }
@@ -71,6 +73,7 @@ type Tree struct {
 	splits       int
 	replacements int
 	retractions  int
+	slots        model.LeafTable[*enode]
 }
 
 // New returns an empty EFDT.
@@ -102,10 +105,12 @@ func (t *Tree) Learn(b stream.Batch) {
 func (t *Tree) learnOne(x []float64, y int) {
 	cur := t.root
 	for {
-		cur.snap = nil
 		cur.stats.Observe(x, y, 1)
 		if cur.isLeaf() {
-			t.attemptInitialSplit(cur)
+			t.slots.Touch(cur)
+			if t.attemptInitialSplit(cur) {
+				t.clearPath(x)
+			}
 			return
 		}
 		cur.sinceReeval++
@@ -114,6 +119,7 @@ func (t *Tree) learnOne(x []float64, y int) {
 			if t.reevaluate(cur) {
 				// The node just became a leaf (or got fresh children);
 				// either way this instance's contribution is recorded.
+				t.clearPath(x)
 				return
 			}
 		}
@@ -131,28 +137,59 @@ func (t *Tree) learnOne(x []float64, y int) {
 // attemptInitialSplit applies the HATT leaf rule: split as soon as the
 // best candidate's merit exceeds the merit of not splitting (zero) by the
 // Hoeffding bound, or the bound falls below the tie threshold while the
-// merit is positive.
-func (t *Tree) attemptInitialSplit(leaf *enode) {
+// merit is positive. It reports whether the leaf split.
+func (t *Tree) attemptInitialSplit(leaf *enode) bool {
 	if !leaf.stats.ShouldAttempt() || leaf.stats.Pure() {
-		return
+		return false
 	}
 	if t.cfg.Tree.MaxDepth > 0 && leaf.depth >= t.cfg.Tree.MaxDepth {
-		return
+		return false
 	}
 	best, _, ok := leaf.stats.BestSplits()
 	if !ok || best.Merit <= 0 {
-		return
+		return false
 	}
 	eps := leaf.stats.Bound()
 	if best.Merit > eps || (eps < t.cfg.Tree.Tau && best.Merit > t.cfg.Tree.Tau) {
 		left, right := leaf.stats.DistributionsFor(best)
 		t.install(leaf, best, [][]float64{left, right})
+		return true
 	}
+	return false
+}
+
+// clearPath drops the frozen-structure cache along x's root-to-leaf
+// path after a structural change on it.
+func (t *Tree) clearPath(x []float64) {
+	cur := t.root
+	for {
+		cur.snap = nil
+		if cur.isLeaf() {
+			return
+		}
+		if model.RouteSplit(x[cur.feature], cur.kind, cur.threshold, cur.mask, true) {
+			cur = cur.left
+		} else {
+			cur = cur.right
+		}
+	}
+}
+
+// release frees the leaf slots of n's served subtree (n itself when it
+// is a leaf) before the subtree changes shape.
+func (t *Tree) release(n *enode) {
+	if n.isLeaf() {
+		t.slots.Release(n)
+		return
+	}
+	t.release(n.left)
+	t.release(n.right)
 }
 
 // install turns the node into an inner node with fresh leaf children
 // (keeping its own statistics, which EFDT continues to update).
 func (t *Tree) install(n *enode, cand attrobs.CandidateSplit, post [][]float64) {
+	t.release(n)
 	n.feature, n.threshold = cand.Feature, cand.Threshold
 	n.kind, n.mask = cand.Kind, cand.Mask
 	n.left = t.newLeaf(n.depth + 1)
@@ -190,6 +227,7 @@ func (t *Tree) reevaluate(n *enode) bool {
 
 	// Retract: not splitting beats the installed split.
 	if 0-cur > eps {
+		t.release(n)
 		n.left, n.right = nil, nil
 		t.retractions++
 		return true
@@ -257,29 +295,36 @@ func (t *Tree) Complexity() model.Complexity {
 }
 
 // freeze returns the immutable SnapNode of n's subtree, reusing the one
-// cached at the last publish when no learn walk has visited n since.
-func freeze(n *enode) *model.SnapNode {
-	if n.snap != nil {
-		return n.snap
-	}
-	if n.isLeaf() {
-		n.snap = model.FreezeLeaf(n.stats.ServingClone())
-	} else {
-		n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, freeze(n.left), freeze(n.right))
+// cached at the last publish when no structural revisit has happened
+// below n since. A leaf freezes to its slot.
+func (t *Tree) freeze(n *enode) *model.SnapNode {
+	if n.snap == nil {
+		if n.isLeaf() {
+			n.snap = t.slots.Freeze(n)
+		} else {
+			n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, t.freeze(n.left), t.freeze(n.right))
+		}
 	}
 	return n.snap
 }
 
+// servingClone is the slot-table entry of a leaf.
+func servingClone(n *enode) model.LeafScorer { return n.stats.ServingClone() }
+
 // Snapshot implements model.Snapshotter: an immutable serving copy of
 // the current tree. Inner-node statistics exist only to re-evaluate
 // splits and are not captured; leaves get serving clones. Publishing is
-// copy-on-write via the per-node freeze cache.
+// copy-on-write: the structure is re-frozen only along the paths of
+// structural revisits since the previous Snapshot, and only the leaves
+// learnt since are re-cloned, into copies of the slot-table chunks
+// holding them.
 func (t *Tree) Snapshot() model.Snapshot {
-	root := freeze(t.root)
+	root := t.freeze(t.root)
 	return &model.CowTree{
 		ModelName:     t.Name(),
 		Comp:          model.TreeComplexity(root.Inner, root.Leaves, root.Depth, model.LeafMajority, t.schema.NumFeatures, t.schema.NumClasses),
 		Root:          root,
+		Leaves:        t.slots.Publish(servingClone),
 		NonFiniteLeft: true,
 	}
 }

@@ -94,11 +94,13 @@ type fnode struct {
 
 	depth int
 
-	// snap caches the immutable SnapNode that froze this subtree at the
-	// last publish; learnOne clears it while routing (every mutation —
-	// leaf training, splits, Page-Hinkley branch deletions — happens on
-	// the routed path), so Snapshot() re-freezes only what changed.
+	// snap caches the immutable SnapNode that froze this subtree's
+	// shape at the last publish; learnOne clears it along the routed
+	// path after a split or Page-Hinkley branch deletion (both happen on
+	// that path), so Snapshot() re-freezes only the structure that
+	// changed. Leaf models go through the tree's slot table.
 	snap *model.SnapNode
+	model.LeafSlot
 }
 
 func (n *fnode) isLeaf() bool { return n.left == nil }
@@ -114,7 +116,8 @@ type Tree struct {
 	prunes int
 	// path is the reusable inner-node buffer of learnOne, so routing one
 	// instance allocates nothing in steady state.
-	path []*fnode
+	path  []*fnode
+	slots model.LeafTable[*fnode]
 }
 
 // routeLeft reports whether feature value v routes to the left child of
@@ -175,7 +178,6 @@ func (t *Tree) learnOne(x []float64, y int) {
 	path := t.path[:0]
 	cur := t.root
 	for !cur.isLeaf() {
-		cur.snap = nil
 		path = append(path, cur)
 		if routeLeft(x[cur.feature], cur.threshold) {
 			cur = cur.left
@@ -183,7 +185,6 @@ func (t *Tree) learnOne(x []float64, y int) {
 			cur = cur.right
 		}
 	}
-	cur.snap = nil
 	t.path = path
 	leaf := cur
 
@@ -193,30 +194,54 @@ func (t *Tree) learnOne(x []float64, y int) {
 	if leaf.mod.Predict(x) != y {
 		errSignal = 1
 	}
+	changed := false
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if n.ph.Add(errSignal) {
 			t.pruneToLeaf(n)
 			// The pruned node is now a leaf: train it on this instance.
 			leaf = n
+			changed = true
 			break
 		}
 	}
 
-	t.trainLeaf(leaf, x, y)
+	if t.trainLeaf(leaf, x, y) {
+		changed = true
+	}
+	t.slots.Touch(leaf)
+	if changed {
+		for _, n := range path {
+			n.snap = nil
+		}
+		leaf.snap = nil
+	}
+}
+
+// release frees the leaf slots of n's served subtree (n itself when it
+// is a leaf) before the subtree changes shape.
+func (t *Tree) release(n *fnode) {
+	if n.isLeaf() {
+		t.slots.Release(n)
+		return
+	}
+	t.release(n.left)
+	t.release(n.right)
 }
 
 // pruneToLeaf deletes the branch rooted at n (the authors' second
 // adaptation strategy) and restarts it as a fresh leaf.
 func (t *Tree) pruneToLeaf(n *fnode) {
+	t.release(n)
 	fresh := t.newLeaf(n.depth, nil)
+	fresh.LeafSlot = n.LeafSlot // n may still be queued for the next publish
 	*n = *fresh
 	t.prunes++
 }
 
 // trainLeaf updates statistics, trains the leaf model, and attempts the
-// SDR/Hoeffding split.
-func (t *Tree) trainLeaf(leaf *fnode, x []float64, y int) {
+// SDR/Hoeffding split. It reports whether the leaf split.
+func (t *Tree) trainLeaf(leaf *fnode, x []float64, y int) bool {
 	target := float64(y)
 	leaf.target.Add(target, 1)
 	leaf.seen++
@@ -229,21 +254,22 @@ func (t *Tree) trainLeaf(leaf *fnode, x []float64, y int) {
 	leaf.mod.RowStep(x, y, t.cfg.LearningRate)
 
 	if leaf.seen-leaf.lastEval < t.cfg.GracePeriod {
-		return
+		return false
 	}
 	leaf.lastEval = leaf.seen
 	if t.cfg.MaxDepth > 0 && leaf.depth >= t.cfg.MaxDepth {
-		return
+		return false
 	}
-	t.attemptSplit(leaf)
+	return t.attemptSplit(leaf)
 }
 
 // attemptSplit applies FIMT-DD's split rule: find the best and second-best
 // SDR over all features and split when the merit ratio second/best drops
-// below 1 - epsilon, or epsilon falls below the tie threshold.
-func (t *Tree) attemptSplit(leaf *fnode) {
+// below 1 - epsilon, or epsilon falls below the tie threshold. It reports
+// whether the leaf split.
+func (t *Tree) attemptSplit(leaf *fnode) bool {
 	if leaf.target.Std() == 0 {
-		return // nothing to reduce
+		return false // nothing to reduce
 	}
 	best := attrobs.CandidateSplit{Merit: math.Inf(-1)}
 	second := math.Inf(-1)
@@ -263,7 +289,7 @@ func (t *Tree) attemptSplit(leaf *fnode) {
 		}
 	}
 	if math.IsInf(best.Merit, -1) || best.Merit <= 0 {
-		return
+		return false
 	}
 	eps := split.HoeffdingBound(1, t.cfg.Delta, leaf.seen)
 	if math.IsInf(second, -1) {
@@ -279,19 +305,23 @@ func (t *Tree) attemptSplit(leaf *fnode) {
 		// the paper's rule for a dominant best candidate.
 		if eps < t.cfg.Tau {
 			t.splitLeaf(leaf, best.Feature, best.Threshold)
+			return true
 		}
-		return
+		return false
 	}
 	ratio := second / best.Merit
 	if ratio < 1-eps || eps < t.cfg.Tau {
 		t.splitLeaf(leaf, best.Feature, best.Threshold)
+		return true
 	}
+	return false
 }
 
 // splitLeaf converts the leaf into an inner node with warm-started
 // children. Inner nodes stop training their model — the key contrast with
 // the Dynamic Model Tree (Section IV-D).
 func (t *Tree) splitLeaf(leaf *fnode, feature int, threshold float64) {
+	t.slots.Release(leaf)
 	parentModel := leaf.mod
 	leaf.feature, leaf.threshold = feature, threshold
 	leaf.left = t.newLeaf(leaf.depth+1, parentModel)
@@ -346,29 +376,36 @@ func (t *Tree) Complexity() model.Complexity {
 }
 
 // freeze returns the immutable SnapNode of n's subtree, reusing the one
-// cached at the last publish when no routed instance has visited n since.
-func freeze(n *fnode) *model.SnapNode {
-	if n.snap != nil {
-		return n.snap
-	}
-	if n.isLeaf() {
-		n.snap = model.FreezeLeaf(n.mod.Clone())
-	} else {
-		n.snap = model.FreezeInner(n.feature, n.threshold, freeze(n.left), freeze(n.right))
+// cached at the last publish when no split or branch deletion has
+// happened below n since. A leaf freezes to its slot.
+func (t *Tree) freeze(n *fnode) *model.SnapNode {
+	if n.snap == nil {
+		if n.isLeaf() {
+			n.snap = t.slots.Freeze(n)
+		} else {
+			n.snap = model.FreezeInner(n.feature, n.threshold, t.freeze(n.left), t.freeze(n.right))
+		}
 	}
 	return n.snap
 }
 
+// leafClone is the slot-table entry of a leaf.
+func leafClone(n *fnode) model.LeafScorer { return n.mod.Clone() }
+
 // Snapshot implements model.Snapshotter: an immutable serving copy of
 // the current tree (structure plus cloned leaf models), routing
-// non-finite values left like the live tree. Publishing is copy-on-write
-// via the per-node freeze cache.
+// non-finite values left like the live tree. Publishing is copy-on-write:
+// the structure is re-frozen only along the paths of splits and branch
+// deletions since the previous Snapshot, and only the leaves trained
+// since are re-cloned, into copies of the slot-table chunks holding
+// them.
 func (t *Tree) Snapshot() model.Snapshot {
-	root := freeze(t.root)
+	root := t.freeze(t.root)
 	return &model.CowTree{
 		ModelName:     t.Name(),
 		Comp:          model.TreeComplexity(root.Inner, root.Leaves, root.Depth, model.LeafModel, t.schema.NumFeatures, t.schema.NumClasses),
 		Root:          root,
+		Leaves:        t.slots.Publish(leafClone),
 		NonFiniteLeft: true,
 	}
 }

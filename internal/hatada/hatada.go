@@ -69,12 +69,13 @@ type anode struct {
 	altErrMon *drift.ADWIN
 	altTicks  int
 
-	// snap caches the immutable SnapNode that froze this subtree at the
-	// last publish; the learn walk clears it along its path so Snapshot()
-	// re-freezes only what changed (copy-on-write). Alternate subtrees
-	// are never frozen — a promotion rewires n in place, and n itself is
-	// always on the invalidated path.
+	// snap caches the immutable SnapNode that froze this subtree's
+	// shape at the last publish; a split or promotion clears it along
+	// the learn path, so Snapshot() re-freezes only the structure that
+	// changed. Alternate subtrees are never frozen and hold no slot — a
+	// promotion rewires n in place, and n is on the cleared path.
 	snap *model.SnapNode
+	model.LeafSlot
 }
 
 func (n *anode) isLeaf() bool { return n.left == nil }
@@ -105,6 +106,7 @@ type Tree struct {
 
 	splits int // leaf splits (main tree and alternates)
 	prunes int // alternate promotions (subtree replacements)
+	slots  model.LeafTable[*anode]
 }
 
 // New returns an empty adaptive Hoeffding tree.
@@ -143,10 +145,12 @@ func (t *Tree) learnOne(x []float64, y int) {
 		mainErr = 1
 	}
 
+	changed := false
 	cur := t.root
 	for {
-		cur.snap = nil // leaf training, splits and promotions all happen on this path
-		t.monitorNode(cur, x, y, mainErr)
+		if t.monitorNode(cur, x, y, mainErr) {
+			changed = true
+		}
 		if cur.isLeaf() {
 			break
 		}
@@ -157,12 +161,47 @@ func (t *Tree) learnOne(x []float64, y int) {
 		}
 	}
 
-	t.trainLeaf(leaf, x, y)
+	if t.trainLeaf(leaf, x, y) {
+		changed = true
+	}
+	t.slots.Touch(leaf)
+	if changed {
+		t.clearPath(x)
+	}
+}
+
+// clearPath drops the frozen-structure cache along x's root-to-leaf
+// path: every split and promotion of a learn step happens on it.
+func (t *Tree) clearPath(x []float64) {
+	cur := t.root
+	for {
+		cur.snap = nil
+		if cur.isLeaf() {
+			return
+		}
+		if model.RouteSplit(x[cur.feature], cur.kind, cur.threshold, cur.mask, true) {
+			cur = cur.left
+		} else {
+			cur = cur.right
+		}
+	}
+}
+
+// release frees the leaf slots of n's subtree, which just left the
+// served tree.
+func (t *Tree) release(n *anode) {
+	if n.isLeaf() {
+		t.slots.Release(n)
+		return
+	}
+	t.release(n.left)
+	t.release(n.right)
 }
 
 // monitorNode feeds the error monitor of one node on the path, starts an
 // alternate when change is detected, and manages an existing alternate.
-func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) {
+// It reports whether the alternate was promoted over n's subtree.
+func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) bool {
 	if n.errMon == nil {
 		n.errMon = drift.NewADWIN(t.cfg.ADWINDelta)
 	}
@@ -173,7 +212,7 @@ func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) {
 		n.altTicks = 0
 	}
 	if n.alt == nil {
-		return
+		return false
 	}
 
 	altLeaf := n.alt.sortTo(x)
@@ -186,11 +225,11 @@ func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) {
 	n.altTicks++
 
 	if n.altTicks%t.cfg.CompareEvery != 0 {
-		return
+		return false
 	}
 	wMain, wAlt := n.errMon.Width(), n.altErrMon.Width()
 	if wMain < t.cfg.MinCompareWidth || wAlt < t.cfg.MinCompareWidth {
-		return
+		return false
 	}
 	w := wMain
 	if wAlt < w {
@@ -201,6 +240,7 @@ func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) {
 	switch {
 	case n.errMon.Mean()-n.altErrMon.Mean() > bound:
 		// Alternate wins: promote it in place of the current subtree.
+		t.release(n)
 		n.feature, n.threshold = n.alt.feature, n.alt.threshold
 		n.kind, n.mask = n.alt.kind, n.alt.mask
 		n.left, n.right = n.alt.left, n.alt.right
@@ -208,25 +248,29 @@ func (t *Tree) monitorNode(n *anode, x []float64, y int, mainErr float64) {
 		n.errMon = n.altErrMon
 		n.alt, n.altErrMon, n.altTicks = nil, nil, 0
 		t.prunes++
+		return true
 	case n.altErrMon.Mean()-n.errMon.Mean() > bound:
 		// Alternate is measurably worse: discard it.
 		n.alt, n.altErrMon, n.altTicks = nil, nil, 0
 	}
+	return false
 }
 
 // trainLeaf updates a leaf's statistics and applies the VFDT split rule.
-func (t *Tree) trainLeaf(leaf *anode, x []float64, y int) {
+// It reports whether the leaf split.
+func (t *Tree) trainLeaf(leaf *anode, x []float64, y int) bool {
 	leaf.stats.Observe(x, y, 1)
 	if !leaf.stats.ShouldAttempt() {
-		return
+		return false
 	}
 	if t.cfg.Tree.MaxDepth > 0 && leaf.depth >= t.cfg.Tree.MaxDepth {
-		return
+		return false
 	}
 	cand, ok := leaf.stats.DecideSplit()
 	if !ok {
-		return
+		return false
 	}
+	t.slots.Release(leaf)
 	leaf.feature, leaf.threshold = cand.Feature, cand.Threshold
 	leaf.kind, leaf.mask = cand.Kind, cand.Mask
 	leaf.left = t.newLeaf(leaf.depth + 1)
@@ -238,6 +282,7 @@ func (t *Tree) trainLeaf(leaf *anode, x []float64, y int) {
 	t.splits++
 	// The node keeps its statistics: promoted alternates may turn it back
 	// into a leaf later, and the error monitor lives on regardless.
+	return true
 }
 
 // Predict implements model.Classifier using the main tree only.
@@ -276,29 +321,36 @@ func (t *Tree) Complexity() model.Complexity {
 }
 
 // freeze returns the immutable SnapNode of n's subtree, reusing the one
-// cached at the last publish when no learn walk has visited n since.
-func freeze(n *anode) *model.SnapNode {
-	if n.snap != nil {
-		return n.snap
-	}
-	if n.isLeaf() {
-		n.snap = model.FreezeLeaf(n.stats.ServingClone())
-	} else {
-		n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, freeze(n.left), freeze(n.right))
+// cached at the last publish when no split or promotion has happened
+// below n since. A leaf freezes to its slot.
+func (t *Tree) freeze(n *anode) *model.SnapNode {
+	if n.snap == nil {
+		if n.isLeaf() {
+			n.snap = t.slots.Freeze(n)
+		} else {
+			n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, t.freeze(n.left), t.freeze(n.right))
+		}
 	}
 	return n.snap
 }
 
+// servingClone is the slot-table entry of a leaf.
+func servingClone(n *anode) model.LeafScorer { return n.stats.ServingClone() }
+
 // Snapshot implements model.Snapshotter: an immutable serving copy of
 // the deployed main tree (alternate subtrees are growth scaffolding and
 // never serve predictions, so they are not captured). Publishing is
-// copy-on-write via the per-node freeze cache.
+// copy-on-write: the structure is re-frozen only along the paths of
+// splits and promotions since the previous Snapshot, and only the
+// leaves trained since are re-cloned, into copies of the slot-table
+// chunks holding them.
 func (t *Tree) Snapshot() model.Snapshot {
-	root := freeze(t.root)
+	root := t.freeze(t.root)
 	return &model.CowTree{
 		ModelName:     t.Name(),
 		Comp:          model.TreeComplexity(root.Inner, root.Leaves, root.Depth, model.LeafMajority, t.schema.NumFeatures, t.schema.NumClasses),
 		Root:          root,
+		Leaves:        t.slots.Publish(servingClone),
 		NonFiniteLeft: true,
 	}
 }

@@ -27,10 +27,12 @@ type node struct {
 	left, right *node
 	depth       int
 
-	// snap caches the immutable SnapNode that froze this subtree at the
-	// last publish; learn traversals clear it along their path so
-	// Snapshot() re-freezes only what changed (copy-on-write).
+	// snap caches the immutable SnapNode that froze this subtree's
+	// shape at the last publish; a split clears it along its path, so
+	// Snapshot() re-freezes only the structure that changed. Leaf
+	// statistics are published through the tree's slot table instead.
 	snap *model.SnapNode
+	model.LeafSlot
 }
 
 func (n *node) isLeaf() bool { return n.left == nil }
@@ -48,15 +50,14 @@ func (n *node) sortTo(x []float64) *node {
 	return cur
 }
 
-// sortLearn is sortTo for learn traversals: it additionally clears the
-// frozen-subtree cache of every node on the path, since the leaf's
-// statistics will change and the leaf may split under it.
-func (n *node) sortLearn(x []float64) *node {
+// clearPath drops the frozen-structure cache along x's root-to-leaf
+// path after a structural change on it.
+func (n *node) clearPath(x []float64) {
 	cur := n
 	for {
 		cur.snap = nil
 		if cur.isLeaf() {
-			return cur
+			return
 		}
 		if model.RouteSplit(x[cur.feature], cur.kind, cur.threshold, cur.mask, true) {
 			cur = cur.left
@@ -67,18 +68,21 @@ func (n *node) sortLearn(x []float64) *node {
 }
 
 // freeze returns the immutable SnapNode of n's subtree, reusing the one
-// cached at the last publish when no learn path has visited n since.
-func freeze(n *node) *model.SnapNode {
-	if n.snap != nil {
-		return n.snap
-	}
-	if n.isLeaf() {
-		n.snap = model.FreezeLeaf(n.stats.ServingClone())
-	} else {
-		n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, freeze(n.left), freeze(n.right))
+// cached at the last publish when no split has happened below n since.
+// A leaf freezes to its slot; its statistics go into the slot table.
+func (t *Tree) freeze(n *node) *model.SnapNode {
+	if n.snap == nil {
+		if n.isLeaf() {
+			n.snap = t.slots.Freeze(n)
+		} else {
+			n.snap = model.FreezeInnerSplit(n.feature, n.kind, n.threshold, n.mask, t.freeze(n.left), t.freeze(n.right))
+		}
 	}
 	return n.snap
 }
+
+// servingClone is the slot-table entry of a leaf.
+func servingClone(n *node) model.LeafScorer { return n.stats.ServingClone() }
 
 // Tree is a Hoeffding tree (VFDT). The zero value is not usable; construct
 // with New.
@@ -90,6 +94,7 @@ type Tree struct {
 	src    *rng.Source // counted source behind rng, for checkpointing
 	sc     *Scratch    // learn-path workspace shared by all nodes
 	splits int         // lifetime split count, for diagnostics
+	slots  model.LeafTable[*node]
 }
 
 // New returns an empty Hoeffding tree for the schema.
@@ -122,14 +127,14 @@ func (t *Tree) Learn(b stream.Batch) {
 // LearnOne updates the tree with one weighted instance (the ensembles use
 // Poisson weights).
 func (t *Tree) LearnOne(x []float64, y int, w float64) {
-	t.learnAt(t.root.sortLearn(x), x, y, w)
+	t.learnAt(t.root.sortTo(x), x, y, w)
 }
 
 // PredictLearnOne routes x to its leaf once, returns the prediction made
 // before learning, then applies the weighted update — the test-then-train
 // step of the ensembles in a single traversal.
 func (t *Tree) PredictLearnOne(x []float64, y int, w float64) int {
-	leaf := t.root.sortLearn(x)
+	leaf := t.root.sortTo(x)
 	pred := leaf.stats.Predict(x)
 	t.learnAt(leaf, x, y, w)
 	return pred
@@ -139,6 +144,7 @@ func (t *Tree) PredictLearnOne(x []float64, y int, w float64) int {
 // rule.
 func (t *Tree) learnAt(leaf *node, x []float64, y int, w float64) {
 	leaf.stats.Observe(x, y, w)
+	t.slots.Touch(leaf)
 	if !leaf.stats.ShouldAttempt() {
 		return
 	}
@@ -150,11 +156,13 @@ func (t *Tree) learnAt(leaf *node, x []float64, y int, w float64) {
 		return
 	}
 	t.splitLeaf(leaf, cand)
+	t.root.clearPath(x)
 }
 
 // splitLeaf converts a leaf into an inner node with two fresh children.
 func (t *Tree) splitLeaf(leaf *node, cand attrobs.CandidateSplit) {
 	post := cand.Post
+	t.slots.Release(leaf)
 	leaf.feature = cand.Feature
 	leaf.threshold = cand.Threshold
 	leaf.kind = cand.Kind
@@ -210,11 +218,12 @@ func (t *Tree) Complexity() model.Complexity {
 
 // Snapshot implements model.Snapshotter: an immutable serving copy of
 // the tree structure with serving clones of the leaf statistics.
-// Publishing is copy-on-write: subtrees no learn path has visited since
-// the previous Snapshot are shared with it via the per-node freeze
-// cache.
+// Publishing is copy-on-write: the structure is shared with the previous
+// Snapshot except along the paths of splits since, and only the leaves
+// learnt since are re-cloned, into copies of the slot-table chunks
+// holding them.
 func (t *Tree) Snapshot() model.Snapshot {
-	root := freeze(t.root)
+	root := t.freeze(t.root)
 	kind := model.LeafMajority
 	if t.cfg.LeafMode != MajorityClass {
 		kind = model.LeafModel
@@ -223,6 +232,7 @@ func (t *Tree) Snapshot() model.Snapshot {
 		ModelName:     t.Name(),
 		Comp:          model.TreeComplexity(root.Inner, root.Leaves, root.Depth, kind, t.schema.NumFeatures, t.schema.NumClasses),
 		Root:          root,
+		Leaves:        t.slots.Publish(servingClone),
 		NonFiniteLeft: true,
 	}
 }

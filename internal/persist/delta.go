@@ -271,6 +271,24 @@ func weakSum(p []byte) (a, b uint32) {
 	return a & 0xffff, b & 0xffff
 }
 
+// sumFilter is a 2^16-bit set over hashed weak checksums: a clear bit
+// proves no base block has the checksum, so the rolling scan skips the
+// map lookup. Between envelopes where most blocks changed, most window
+// positions match no block.
+type sumFilter [1 << 16 / 64]uint64
+
+func sumBit(key uint32) uint32 { return key * 0x9e3779b1 >> 16 }
+
+func (f *sumFilter) add(key uint32) {
+	h := sumBit(key)
+	f[h>>6] |= 1 << (h & 63)
+}
+
+func (f *sumFilter) mayHave(key uint32) bool {
+	h := sumBit(key)
+	return f[h>>6]&(1<<(h&63)) != 0
+}
+
 // makePatch computes the COPY/ADD opcode stream turning base into
 // target: base blocks are indexed by weak checksum, target is scanned
 // with a rolling window, candidate matches verify byte-for-byte and
@@ -278,10 +296,12 @@ func weakSum(p []byte) (a, b uint32) {
 func makePatch(base, target []byte) []byte {
 	const bs = deltaBlockSize
 	table := make(map[uint32][]int, len(base)/bs)
+	var filter sumFilter
 	for off := 0; off+bs <= len(base); off += bs {
 		a, b := weakSum(base[off : off+bs])
 		key := a | b<<16
 		table[key] = append(table[key], off)
+		filter.add(key)
 	}
 
 	var out bytes.Buffer
@@ -304,7 +324,11 @@ func makePatch(base, target []byte) []byte {
 		for i+bs <= len(target) {
 			key := a | b<<16
 			matched := false
-			for _, off := range table[key] {
+			var cands []int
+			if filter.mayHave(key) {
+				cands = table[key]
+			}
+			for _, off := range cands {
 				if !bytes.Equal(base[off:off+bs], target[i:i+bs]) {
 					continue
 				}
